@@ -6,16 +6,21 @@
 //! becomes saturated." Expected shape: p50/p99 flat while throughput scales
 //! with clients, then climbing sharply once the shard workers saturate.
 //!
+//! Each row is one closed-loop load-harness run of the serving runtime
+//! with churn off (64 shards, 2 shard workers).
+//!
 //! ```text
 //! cargo run --release -p piggyback-bench --bin prototype_latency -- [nodes]
 //! ```
+
+use std::time::Duration;
 
 use piggyback_bench::{
     flickr_dataset, nodes_from_args, print_dataset_banner, print_header, print_row,
 };
 use piggyback_core::parallelnosy::ParallelNosy;
-use piggyback_core::scheduler::{Instance, Scheduler};
-use piggyback_store::cluster::{Cluster, ClusterConfig};
+use piggyback_core::scheduler::{Hybrid, Instance, Scheduler};
+use piggyback_serve::{run_harness, Arrival, HarnessConfig, ServeConfig};
 
 fn main() {
     let nodes = if std::env::args().nth(1).is_some() {
@@ -37,21 +42,31 @@ fn main() {
 
     print_header(&["clients", "total_req_per_sec", "p50_us", "p99_us", "max_ms"]);
     for clients in [1usize, 2, 4, 8, 16, 32] {
-        let cluster = Cluster::new(
+        let report = run_harness(
             &d.graph,
-            &pn,
-            ClusterConfig {
-                servers: 64,
+            &d.rates,
+            pn.clone(),
+            Box::new(Hybrid),
+            ServeConfig {
+                shards: 64,
+                workers: 2,
+                ..Default::default()
+            },
+            &HarnessConfig {
+                clients,
+                duration: Duration::from_millis(300),
+                churn_ratio: 0.0,
+                arrival: Arrival::Closed,
+                seed: 5,
                 ..Default::default()
             },
         );
-        let (stats, _) = cluster.run_concurrent(&d.graph, &d.rates, clients, 3000, 2, 5);
         print_row(&[
             clients.to_string(),
-            format!("{:.0}", stats.requests_per_sec()),
-            format!("{:.1}", stats.latency.quantile_ns(0.5) as f64 / 1_000.0),
-            format!("{:.1}", stats.latency.quantile_ns(0.99) as f64 / 1_000.0),
-            format!("{:.2}", stats.latency.max_ns() as f64 / 1_000_000.0),
+            format!("{:.0}", report.throughput()),
+            format!("{:.1}", report.latency.quantile_ns(0.5) as f64 / 1_000.0),
+            format!("{:.1}", report.latency.quantile_ns(0.99) as f64 / 1_000.0),
+            format!("{:.2}", report.latency.max_ns() as f64 / 1_000_000.0),
         ]);
     }
 }

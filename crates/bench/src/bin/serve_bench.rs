@@ -11,7 +11,7 @@
 //! ```text
 //! cargo run --release -p piggyback-bench --bin serve_bench -- [--smoke] \
 //!     [--nodes <n>] [--servers <n>] [--duration-ms <n>] [--out <file>] \
-//!     [--both] [--min-ops <ops/s>] [--metrics on|off] [--stats-out <file>]
+//!     [--min-ops <ops/s>] [--metrics on|off] [--stats-out <file>]
 //! ```
 //!
 //! `--metrics off` boots the runtimes without the observability layer —
@@ -48,28 +48,19 @@
 //! schedule cost no higher than the lazy threshold trigger, with zero
 //! bounded-staleness violations in both modes.
 //!
-//! Every schedule family is optimized once and the harness runs over the
-//! two production planes — `batched` (coalesced `ShardBatch` messages to
-//! the shard-worker pool, pooled reply channel and buffers, bounded k-way
-//! merges) and `direct` (the same coalesced protocol executed
-//! caller-side, no thread hop). `--both` is the **before/after mode**: it
-//! adds the `legacy` plane (per-request rendezvous channels, fresh
-//! buffers, flat sort-merge — the pre-PR protocol) and the JSON carries a
-//! per-schedule `speedup_vs_legacy` for the in-binary comparison.
+//! Every schedule family is optimized once and the harness runs it in
+//! both [`RpcMode`]s of the one coalesced request plane — `batched`
+//! (`ShardBatch` messages to the shard-worker pool, pooled reply channel
+//! and buffers, bounded k-way merges) and `direct` (the same protocol
+//! executed caller-side, no thread hop).
 //!
 //! Every run also executes the **store microbenchmark**: `View::insert`
-//! ring vs. the legacy `Vec` insert, and the tournament-merge query vs.
-//! the sort-merge reference, reported as ns/op under `store_micro`.
+//! into a full ring, and the tournament-merge query vs. the sort-merge
+//! reference, reported as ns/op under `store_micro`.
 //!
 //! `--min-ops` turns the run into a regression gate: if the best batched
 //! closed-loop throughput lands below the threshold, the process exits
 //! non-zero (CI feeds it 80% of the committed baseline).
-//!
-//! `--pre-pr <file>` folds a JSON produced by the *pre-PR binary* (old
-//! views, old query path, old RPC plane end to end) into the output as a
-//! `pre_pr` section with per-schedule speedups — the honest whole-system
-//! before/after, complementing `--both` which isolates the RPC/merge
-//! planes inside one binary.
 
 use std::time::{Duration, Instant};
 
@@ -92,9 +83,7 @@ struct Args {
     servers: usize,
     duration: Duration,
     out: Option<String>,
-    both: bool,
     min_ops: Option<f64>,
-    pre_pr: Option<String>,
     metrics: bool,
     stats_out: Option<String>,
     chaos: bool,
@@ -108,11 +97,9 @@ struct Args {
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
-    let mut both = false;
     let (mut nodes, mut servers, mut duration_ms) = (None, None, None);
     let mut out = None;
     let mut min_ops = None;
-    let mut pre_pr = None;
     let mut metrics = true;
     let mut stats_out = None;
     let mut chaos = false;
@@ -126,10 +113,6 @@ fn parse_args() -> Args {
         match argv[i].as_str() {
             "--smoke" => {
                 smoke = true;
-                i += 1;
-            }
-            "--both" => {
-                both = true;
                 i += 1;
             }
             "--chaos" => {
@@ -196,10 +179,6 @@ fn parse_args() -> Args {
                 min_ops = Some(argv[i + 1].parse().expect("--min-ops"));
                 i += 2;
             }
-            "--pre-pr" => {
-                pre_pr = Some(argv[i + 1].clone());
-                i += 2;
-            }
             other => panic!("unknown argument {other:?}"),
         }
     }
@@ -225,9 +204,7 @@ fn parse_args() -> Args {
             2000
         })),
         out,
-        both,
         min_ops,
-        pre_pr,
         metrics,
         stats_out,
         chaos,
@@ -239,101 +216,27 @@ fn parse_args() -> Args {
     }
 }
 
-/// Extracts `(schedule, throughput, p99_ms)` rows from a serve_bench JSON
-/// without a JSON dependency: scans each `results` row for the two fields.
-fn parse_bench_rows(json: &str) -> Vec<(String, f64, f64)> {
-    let mut rows = Vec::new();
-    for line in json.lines() {
-        let Some(name_at) = line.find("\"schedule\": \"") else {
-            continue;
-        };
-        let rest = &line[name_at + 13..];
-        let Some(end) = rest.find('"') else { continue };
-        let name = rest[..end].to_string();
-        let field = |key: &str| -> Option<f64> {
-            let at = line.find(key)?;
-            let tail = &line[at + key.len()..];
-            let num: String = tail
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect();
-            num.parse().ok()
-        };
-        if let (Some(t), Some(p99)) = (field("\"throughput_ops_per_sec\": "), field("\"p99_ms\": "))
-        {
-            rows.push((name, t, p99));
-        }
-    }
-    rows
-}
-
-/// The pre-ring-buffer view: recency-sorted `Vec`, O(n) shift per insert
-/// plus an O(n) duplicate scan. Kept here (bench-only) as the *before*
-/// half of the insert microbenchmark.
-#[derive(Default)]
-struct LegacyView {
-    events: Vec<EventTuple>,
-    capacity: usize,
-}
-
-impl LegacyView {
-    fn with_capacity(capacity: usize) -> Self {
-        LegacyView {
-            events: Vec::new(),
-            capacity,
-        }
-    }
-
-    fn insert(&mut self, t: EventTuple) {
-        let pos = self.events.partition_point(|e| {
-            e.timestamp > t.timestamp || (*e > t && e.timestamp == t.timestamp)
-        });
-        if self.events.get(pos) == Some(&t) {
-            return;
-        }
-        if self
-            .events
-            .iter()
-            .any(|e| e.user == t.user && e.event_id == t.event_id)
-        {
-            return;
-        }
-        self.events.insert(pos, t);
-        if self.capacity > 0 && self.events.len() > self.capacity {
-            self.events.truncate(self.capacity);
-        }
-    }
-}
-
 struct MicroResult {
-    insert_legacy_ns: f64,
-    insert_ring_ns: f64,
+    insert_ns: f64,
     query_reference_ns: f64,
     query_merge_ns: f64,
 }
 
-/// Insert/query ns/op, old path vs new path, on a view shape matching the
-/// serving defaults (capacity 128, k = 10, ~20 views per query).
+/// Insert ns/op, and query ns/op on the serving path vs the sort-merge
+/// reference, on a view shape matching the serving defaults (capacity
+/// 128, k = 10, ~20 views per query).
 fn store_microbench(iters: u64) -> MicroResult {
     const CAPACITY: usize = 128;
     // Insert: a monotonic stream (the dominant case) into a full view.
-    let mut legacy = LegacyView::with_capacity(CAPACITY);
     let mut ring = piggyback_store::View::with_capacity(CAPACITY);
     for i in 0..CAPACITY as u64 {
-        let e = EventTuple::new((i % 16) as u32, i, i);
-        legacy.insert(e);
-        ring.insert(e);
+        ring.insert(EventTuple::new((i % 16) as u32, i, i));
     }
-    let t0 = Instant::now();
-    for i in 0..iters {
-        legacy.insert(EventTuple::new((i % 16) as u32, 1000 + i, 1000 + i));
-    }
-    let insert_legacy_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
     let t0 = Instant::now();
     for i in 0..iters {
         ring.insert(EventTuple::new((i % 16) as u32, 1000 + i, 1000 + i));
     }
-    let insert_ring_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
+    let insert_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
 
     // Query: top-10 across 20 warm views (a pull-heavy fan-in).
     let mut server = StoreServer::new(CAPACITY);
@@ -356,8 +259,7 @@ fn store_microbench(iters: u64) -> MicroResult {
     let query_merge_ns = t0.elapsed().as_nanos() as f64 / q_iters as f64;
     assert_eq!(sink, 2 * q_iters as usize * 10);
     MicroResult {
-        insert_legacy_ns,
-        insert_ring_ns,
+        insert_ns,
         query_reference_ns,
         query_merge_ns,
     }
@@ -972,19 +874,16 @@ fn main() {
     let clients = if args.smoke { 2 } else { 4 };
     let churn_ratio = 0.02;
     eprintln!(
-        "# serve_bench: {} nodes, {} servers, {:?} per schedule{}{}",
+        "# serve_bench: {} nodes, {} servers, {:?} per schedule{}",
         args.nodes,
         args.servers,
         args.duration,
-        if args.smoke { " (smoke)" } else { "" },
-        if args.both { " (before/after)" } else { "" }
+        if args.smoke { " (smoke)" } else { "" }
     );
     let micro = store_microbench(if args.smoke { 50_000 } else { 400_000 });
     eprintln!(
-        "#   store micro: insert {:.0} -> {:.0} ns/op ({:.1}x), query {:.0} -> {:.0} ns/op ({:.1}x)",
-        micro.insert_legacy_ns,
-        micro.insert_ring_ns,
-        micro.insert_legacy_ns / micro.insert_ring_ns.max(1e-9),
+        "#   store micro: insert {:.0} ns/op, query {:.0} -> {:.0} ns/op ({:.1}x)",
+        micro.insert_ns,
         micro.query_reference_ns,
         micro.query_merge_ns,
         micro.query_reference_ns / micro.query_merge_ns.max(1e-9)
@@ -995,19 +894,12 @@ fn main() {
     let mut rows = Vec::new();
     let mut stats_rows = Vec::new();
     let mut summary = Vec::new();
-    let mut speedups = Vec::new();
     let mut best_batched = 0.0f64;
-    let modes: &[RpcMode] = if args.both {
-        &[RpcMode::Legacy, RpcMode::Batched, RpcMode::Direct]
-    } else {
-        &[RpcMode::Batched, RpcMode::Direct]
-    };
     for name in SCHEDULES {
         let opt = by_name(name).expect("registered scheduler");
         let outcome = opt.schedule(&inst);
         let cost = outcome.stats.cost;
-        let mut per_mode = Vec::new();
-        for &rpc in modes {
+        for rpc in [RpcMode::Batched, RpcMode::Direct] {
             let report = run_harness(
                 &g,
                 &rates,
@@ -1052,86 +944,26 @@ fn main() {
             if rpc == RpcMode::Batched {
                 best_batched = best_batched.max(report.throughput());
             }
-            per_mode.push((rpc, report.throughput()));
             if let Some(snap) = &report.serve.metrics {
                 stats_rows.push(format!("  \"{}_{}\": {}", name, rpc.name(), snap.to_json()));
             }
             rows.push(json_result(name, rpc, cost, &report));
         }
-        if args.both {
-            let of = |mode: RpcMode| {
-                per_mode
-                    .iter()
-                    .find(|(m, _)| *m == mode)
-                    .map(|&(_, t)| t)
-                    .unwrap_or(0.0)
-            };
-            let (legacy, batched, direct) = (
-                of(RpcMode::Legacy),
-                of(RpcMode::Batched),
-                of(RpcMode::Direct),
-            );
-            let speedup = if legacy > 0.0 { batched / legacy } else { 0.0 };
-            let direct_speedup = if legacy > 0.0 { direct / legacy } else { 0.0 };
-            eprintln!(
-                "#   {name:<9} vs legacy: batched {speedup:.2}x, direct {direct_speedup:.2}x"
-            );
-            speedups.push(format!(
-                "    {{\"schedule\": \"{name}\", \"legacy_ops_per_sec\": {legacy:.1}, \
-                 \"batched_ops_per_sec\": {batched:.1}, \"direct_ops_per_sec\": {direct:.1}, \
-                 \"speedup_vs_legacy\": {speedup:.3}, \
-                 \"direct_speedup_vs_legacy\": {direct_speedup:.3}}}"
-            ));
-        }
     }
     let micro_json = format!(
         concat!(
-            "{{\n    \"view_insert_legacy_ns\": {:.1}, \"view_insert_ring_ns\": {:.1}, ",
-            "\"view_insert_speedup\": {:.2},\n    \"query_reference_ns\": {:.1}, ",
+            "{{\n    \"view_insert_ns\": {:.1},\n    \"query_reference_ns\": {:.1}, ",
             "\"query_merge_ns\": {:.1}, \"query_speedup\": {:.2}\n  }}"
         ),
-        micro.insert_legacy_ns,
-        micro.insert_ring_ns,
-        micro.insert_legacy_ns / micro.insert_ring_ns.max(1e-9),
+        micro.insert_ns,
         micro.query_reference_ns,
         micro.query_merge_ns,
         micro.query_reference_ns / micro.query_merge_ns.max(1e-9)
     );
-    let mut speedup_json = if args.both {
-        format!(",\n  \"before_after\": [\n{}\n  ]", speedups.join(",\n"))
-    } else {
-        String::new()
-    };
-    if let Some(path) = &args.pre_pr {
-        let old = std::fs::read_to_string(path).expect("read --pre-pr file");
-        let mut rows_json = Vec::new();
-        for (name, old_ops, old_p99) in parse_bench_rows(&old) {
-            let new_ops = summary
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|&(_, t)| t)
-                .unwrap_or(0.0);
-            let speedup = if old_ops > 0.0 {
-                new_ops / old_ops
-            } else {
-                0.0
-            };
-            eprintln!("#   {name:<9} vs pre-PR runtime: {old_ops:.0} -> {new_ops:.0} op/s ({speedup:.2}x)");
-            rows_json.push(format!(
-                "    {{\"schedule\": \"{name}\", \"pre_pr_ops_per_sec\": {old_ops:.1}, \
-                 \"pre_pr_p99_ms\": {old_p99:.4}, \"ops_per_sec\": {new_ops:.1}, \
-                 \"speedup_vs_pre_pr\": {speedup:.3}}}"
-            ));
-        }
-        speedup_json.push_str(&format!(
-            ",\n  \"pre_pr\": [\n{}\n  ]",
-            rows_json.join(",\n")
-        ));
-    }
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"smoke\": {},\n  \"nodes\": {},\n  \"edges\": {},\n  \
          \"servers\": {},\n  \"clients\": {},\n  \"duration_ms\": {},\n  \"churn_ratio\": {},\n  \
-         \"store_micro\": {},\n  \"results\": [\n{}\n  ]{}\n}}",
+         \"store_micro\": {},\n  \"results\": [\n{}\n  ]\n}}",
         args.smoke,
         g.node_count(),
         g.edge_count(),
@@ -1140,8 +972,7 @@ fn main() {
         args.duration.as_millis(),
         churn_ratio,
         micro_json,
-        rows.join(",\n"),
-        speedup_json
+        rows.join(",\n")
     );
     println!("{json}");
     if let Some(path) = &args.out {

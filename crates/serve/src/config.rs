@@ -4,35 +4,32 @@ use piggyback_store::fault::FaultPlan;
 use piggyback_store::topology::PartitionStrategy;
 use std::time::Duration;
 
-/// Which shard-RPC plane the serving clients speak.
+/// Where the serving clients' shard batches execute. Both modes speak the
+/// one coalesced request plane — the same batches, wire format and
+/// message accounting; they differ only in which thread runs the shard
+/// work.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RpcMode {
-    /// The coalesced plane over the shard-worker pool: one
+    /// Over the shard-worker pool: one
     /// [`ShardBatch`](piggyback_store::worker::ShardBatch) per touched
     /// shard per operation, pooled reply channel and buffers, bounded
     /// k-way reply merge, all batches of an op on one worker. The default.
     #[default]
     Batched,
-    /// The coalesced plane executed caller-side
-    /// ([`Transport::Direct`](piggyback_store::worker::Transport)): the
-    /// same batches, wire format and message accounting, with shard work
-    /// running inline on the issuing thread instead of hopping to a
+    /// Caller-side
+    /// ([`Transport::Direct`](piggyback_store::worker::Transport)): shard
+    /// work runs inline on the issuing thread instead of hopping to a
     /// worker — the embedded-deployment mode, and the fastest one when
-    /// clients outnumber cores.
+    /// clients outnumber cores. No worker threads are spawned.
     Direct,
-    /// The pre-coalescing plane: one fresh rendezvous channel per shard
-    /// request, fresh view lists and reply buffers, flat sort-merge.
-    /// Exists for the serve benchmark's before/after mode.
-    Legacy,
 }
 
 impl RpcMode {
-    /// Parses `"batched"` / `"direct"` / `"legacy"`.
+    /// Parses `"batched"` / `"direct"`.
     pub fn parse(s: &str) -> Option<RpcMode> {
         match s {
             "batched" => Some(RpcMode::Batched),
             "direct" => Some(RpcMode::Direct),
-            "legacy" => Some(RpcMode::Legacy),
             _ => None,
         }
     }
@@ -42,7 +39,6 @@ impl RpcMode {
         match self {
             RpcMode::Batched => "batched",
             RpcMode::Direct => "direct",
-            RpcMode::Legacy => "legacy",
         }
     }
 }
@@ -124,8 +120,9 @@ pub struct ServeConfig {
     pub rebalance_threshold: f64,
     /// Bound on the operation front-end channels (back-pressure depth).
     pub queue_depth: usize,
-    /// Which shard-RPC plane clients speak (benchmarking knob; production
-    /// is [`RpcMode::Batched`]).
+    /// Whether shard batches run on the worker pool
+    /// ([`RpcMode::Batched`], the default) or inline on the calling client
+    /// thread ([`RpcMode::Direct`]).
     pub rpc: RpcMode,
     /// Whether the runtime carries live metrics + event tracing
     /// ([`ServeMetrics`](crate::metrics::ServeMetrics)). On by default —
@@ -224,9 +221,9 @@ mod tests {
     fn rpc_mode_parses() {
         assert_eq!(RpcMode::parse("batched"), Some(RpcMode::Batched));
         assert_eq!(RpcMode::parse("direct"), Some(RpcMode::Direct));
-        assert_eq!(RpcMode::parse("legacy"), Some(RpcMode::Legacy));
+        assert_eq!(RpcMode::parse("legacy"), None);
         assert_eq!(RpcMode::parse("bogus"), None);
-        assert_eq!(RpcMode::Legacy.name(), "legacy");
+        assert_eq!(RpcMode::Direct.name(), "direct");
     }
 
     #[test]

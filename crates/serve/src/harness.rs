@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use piggyback_core::schedule::Schedule;
 use piggyback_core::scheduler::Scheduler;
 use piggyback_graph::CsrGraph;
+use piggyback_obs::LatencyHistogram;
 use piggyback_store::fault::PartitionDir;
-use piggyback_store::latency::LatencyHistogram;
 use piggyback_workload::{Op, OpTrace, Rates};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -30,7 +30,7 @@
 //!   fresh schedule in atomically.
 //! * [`harness`] — the load harness: closed-loop and open-loop (fixed
 //!   arrival rate) generators reporting throughput plus p50/p95/p99
-//!   latency via the [`piggyback_store::latency`] histogram.
+//!   latency via the [`piggyback_obs::LatencyHistogram`].
 //! * [`metrics`] — the runtime's live instrument bundle
 //!   ([`piggyback_obs`]): per-operation latency histograms and counters,
 //!   churn gauges, and the control-plane event ring. On by default

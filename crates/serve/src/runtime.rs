@@ -4,12 +4,12 @@
 //! Thread layout:
 //!
 //! * **Shard workers** (`config.workers` threads) own the
-//!   [`StoreServer`] shards behind channels — the same wire-format
-//!   [`worker`](piggyback_store::worker) protocol the batch prototype
-//!   uses, now long-running. Under [`RpcMode::Direct`] no workers are
-//!   spawned at all: clients (and the churn manager's migrations) execute
-//!   the same coalesced batches inline against the shard mutexes —
-//!   identical protocol and message accounting, no scheduler round trip.
+//!   [`StoreServer`] shards behind channels and speak the wire-format
+//!   [`worker`](piggyback_store::worker) protocol. Under
+//!   [`RpcMode::Direct`] no workers are spawned at all: clients (and the
+//!   churn manager's migrations) execute the same coalesced batches
+//!   inline against the shard mutexes — identical protocol and message
+//!   accounting, no scheduler round trip.
 //! * **Clients** ([`ServeClient`]) execute `Share`/`Query` against the
 //!   current [`ServingSchedule`] snapshot (one [`EpochHandle::load`] per
 //!   operation) and forward `Follow`/`Unfollow` to the churn manager.
@@ -43,12 +43,9 @@ use piggyback_graph::{CsrGraph, NodeId};
 use piggyback_obs::{set_ambient_events, EventKind, Snapshot};
 use piggyback_store::fault::FaultInjector;
 use piggyback_store::health::{HealthTracker, ShardHealth};
-use piggyback_store::merge::sort_merge;
 use piggyback_store::server::{QueryScratch, ShardStats, StoreServer};
 use piggyback_store::topology::{PartitionRequest, PartitionStrategy, Topology};
-use piggyback_store::worker::{
-    dispatch, worker_loop, BufferPool, ShardClient, ShardRequest, Transport,
-};
+use piggyback_store::worker::{worker_loop, BufferPool, ShardClient, ShardRequest, Transport};
 use piggyback_store::EventTuple;
 use piggyback_workload::{Op, Rates};
 
@@ -72,7 +69,6 @@ pub struct ServeRuntime {
     cache: Arc<PullCache>,
     clock: Arc<AtomicU64>,
     top_k: usize,
-    rpc: RpcMode,
     shards_n: usize,
     replication: usize,
     metrics: Option<Arc<ServeMetrics>>,
@@ -245,7 +241,6 @@ impl ServeRuntime {
             cache: Arc::new(PullCache::new(config.pull_cache_ttl, 64)),
             clock: Arc::new(AtomicU64::new(1)),
             top_k: config.top_k,
-            rpc: config.rpc,
             shards_n: config.shards,
             replication,
             metrics,
@@ -262,14 +257,12 @@ impl ServeRuntime {
         let id = self.client_counter.fetch_add(1, Ordering::Relaxed);
         ServeClient {
             handle: Arc::clone(&self.handle),
-            senders: Arc::clone(&self.senders),
             shard: ShardClient::new(self.transport.clone(), Arc::clone(&self.pool))
                 .with_resilience(self.health.clone(), self.faults.clone()),
             churn_tx: self.churn_tx.clone(),
             cache: Arc::clone(&self.cache),
             clock: Arc::clone(&self.clock),
             top_k: self.top_k,
-            rpc: self.rpc,
             obs: self.metrics.as_deref().map(ServeMetrics::recorder),
             next_event: id << 40,
             targets: Vec::new(),
@@ -498,20 +491,17 @@ impl ServeRuntime {
 ///
 /// Every operation loads the schedule snapshot exactly once and uses it
 /// end-to-end, so a concurrent epoch swap can never split one request
-/// across two schedules. In the default [`RpcMode::Batched`] plane the
-/// client owns every per-operation buffer (targets, merge output, the
-/// [`ShardClient`]'s grouping/reply scratch), so a warmed-up client
-/// sends shares with one payload allocation and assembles streams with
-/// one shared snapshot allocation.
+/// across two schedules. The client owns every per-operation buffer
+/// (targets, merge output, the [`ShardClient`]'s grouping/reply scratch),
+/// so a warmed-up client sends shares with one payload allocation and
+/// assembles streams with one shared snapshot allocation.
 pub struct ServeClient {
     handle: Arc<EpochHandle>,
-    senders: Arc<Vec<Sender<ShardRequest>>>,
     shard: ShardClient,
     churn_tx: Sender<ChurnMsg>,
     cache: Arc<PullCache>,
     clock: Arc<AtomicU64>,
     top_k: usize,
-    rpc: RpcMode,
     /// Per-client instrument handles (`None` when metrics are off; the
     /// metrics-off hot path then pays no `Instant::now` either).
     obs: Option<OpRecorder>,
@@ -547,30 +537,9 @@ impl ServeClient {
         self.next_event += 1;
         let ts = self.clock.fetch_add(1, Ordering::Relaxed);
         let event = EventTuple::new(u, self.next_event, ts);
-        match self.rpc {
-            RpcMode::Batched | RpcMode::Direct => {
-                snap.collect_push_targets(u, &mut self.targets);
-                self.shard
-                    .update(snap.topology(), &self.targets, event.to_wire())
-            }
-            RpcMode::Legacy => {
-                let payload = event.to_bytes();
-                let mut targets = snap.push_targets(u).to_vec();
-                targets.push(u);
-                dispatch(
-                    snap.topology(),
-                    &self.senders,
-                    &targets,
-                    |shard, views, done| ShardRequest::Update {
-                        shard,
-                        views,
-                        payload: payload.clone(),
-                        done,
-                    },
-                )
-                .len() as u64
-            }
-        }
+        snap.collect_push_targets(u, &mut self.targets);
+        self.shard
+            .update(snap.topology(), &self.targets, event.to_wire())
     }
 
     /// Assembles `u`'s event stream (Algorithm 3 lines 8–16), possibly
@@ -596,36 +565,10 @@ impl ServeClient {
         if let Some(events) = self.cache.get(u, snap.epoch()) {
             return (events, 0);
         }
-        let k = self.top_k;
-        let messages = match self.rpc {
-            RpcMode::Batched | RpcMode::Direct => {
-                snap.collect_pull_sources(u, &mut self.targets);
-                self.shard
-                    .query(snap.topology(), &self.targets, k, &mut self.merged)
-            }
-            RpcMode::Legacy => {
-                let mut targets = snap.pull_sources(u).to_vec();
-                targets.push(u);
-                let replies = dispatch(
-                    snap.topology(),
-                    &self.senders,
-                    &targets,
-                    |shard, views, done| ShardRequest::Query {
-                        shard,
-                        views,
-                        k,
-                        done,
-                    },
-                );
-                let messages = replies.len() as u64;
-                self.merged.clear();
-                for mut reply in replies {
-                    EventTuple::decode_all(&mut reply, &mut self.merged);
-                }
-                sort_merge(&mut self.merged, k);
-                messages
-            }
-        };
+        snap.collect_pull_sources(u, &mut self.targets);
+        let messages =
+            self.shard
+                .query(snap.topology(), &self.targets, self.top_k, &mut self.merged);
         // One allocation shared between the caller and the pull cache.
         let events: Arc<[EventTuple]> = Arc::from(&self.merged[..]);
         self.cache.put(u, snap.epoch(), Arc::clone(&events));
@@ -688,6 +631,12 @@ impl ServeClient {
                 0
             }
         }
+    }
+
+    /// Replays `ops` back-to-back on this client, returning the store
+    /// messages they sent in total.
+    pub fn replay(&mut self, ops: impl IntoIterator<Item = Op>) -> u64 {
+        ops.into_iter().map(|op| self.apply_op(op)).sum()
     }
 }
 
@@ -1084,7 +1033,7 @@ impl ChurnManager {
         // Anti-entropy *before* publish: re-pointing a primary exposes
         // replica slots that never received writes (they were behind the
         // dead shard in the slot ring). Copy the surviving view in via a
-        // non-destructive read + merge-install — deliberately NOT
+        // non-destructive ReadView + merge-install — deliberately NOT
         // ExtractView, which would remove the donor view and open a
         // window where concurrent queries see nothing.
         let catch_started = Instant::now();
@@ -1095,10 +1044,9 @@ impl ChurnManager {
             let reads: Vec<_> = moved
                 .iter()
                 .map(|&u| {
-                    transport.request_async(pool, scratch, |done| ShardRequest::Query {
+                    transport.request_async(pool, scratch, |done| ShardRequest::ReadView {
                         shard: new_t.server_of(u),
-                        views: vec![u],
-                        k: usize::MAX,
+                        view: u,
                         done,
                     })
                 })
@@ -1264,7 +1212,7 @@ impl ChurnManager {
                     (&self.transport, &self.pool, &mut self.migrate_scratch);
                 // Pipelined like every other migration: all donor reads in
                 // flight before the first install streams out. Reads are
-                // non-destructive (Query, not ExtractView): the donor keeps
+                // non-destructive (ReadView, not ExtractView): the donor keeps
                 // serving throughout.
                 let reads: Vec<_> = batch
                     .iter()
@@ -1272,11 +1220,12 @@ impl ChurnManager {
                         t.replica_slots(*u)
                             .find(|&r| !targets.contains(&(r as u32)) && alive(r))
                             .map(|donor| {
-                                transport.request_async(pool, scratch, |done| ShardRequest::Query {
-                                    shard: donor,
-                                    views: vec![*u],
-                                    k: usize::MAX,
-                                    done,
+                                transport.request_async(pool, scratch, |done| {
+                                    ShardRequest::ReadView {
+                                        shard: donor,
+                                        view: *u,
+                                        done,
+                                    }
                                 })
                             })
                     })
@@ -1445,7 +1394,7 @@ impl ChurnManager {
     /// caches; re-placement implies cache misses): an update that races
     /// the migration — routed via an old snapshot after its view was
     /// extracted or after the swap — can land at the old home and stay
-    /// invisible to later queries, exactly as a resized batch cluster
+    /// invisible to later queries, exactly as a resharded memcached
     /// drops moved views. Bounded staleness of the *schedule* is
     /// unaffected (validated post-run); quiescent-traffic migration is
     /// lossless (`tests/rebalance.rs`).

@@ -324,3 +324,70 @@ fn stats_are_identical_across_planes_at_replication_two() {
         "every view insert must land on both replica slots"
     );
 }
+
+#[test]
+fn catch_up_reads_leave_op_counters_untouched() {
+    // Failover and rejoin catch-up copy donor views with non-destructive
+    // ReadView requests. Those are migration traffic, not user queries:
+    // after a kill + restart + catch-up cycle every shard must still count
+    // exactly one update or query per data batch it served.
+    let (g, r) = world();
+    let schedule = by_name("hybrid")
+        .unwrap()
+        .schedule(&Instance::new(&g, &r))
+        .schedule;
+    let rt = ServeRuntime::start(
+        g,
+        r.clone(),
+        schedule,
+        by_name("hybrid").unwrap(),
+        ServeConfig {
+            shards: 4,
+            workers: 2,
+            replication: 2,
+            heartbeat_interval: Duration::from_millis(2),
+            pull_cache_ttl: Duration::from_millis(50),
+            faults: Some(FaultPlan::default()),
+            ..Default::default()
+        },
+    );
+    let mut c = rt.client();
+    let mut trace = OpTrace::new(&r, 0.0, 31);
+    c.replay(trace.by_ref().take(300));
+    assert!(rt.kill_shard(2), "fault plan configured, kill must arm");
+    let metrics = rt.metrics().expect("metrics on by default");
+    let readmitted = || {
+        metrics
+            .events()
+            .recent(256)
+            .iter()
+            .any(|e| e.to_string().contains("readmit shard=2"))
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut restarted = false;
+    while !readmitted() {
+        c.replay(trace.by_ref().take(50));
+        if !restarted && metrics.snapshot().counter("failover.count") >= 1 {
+            assert!(rt.restart_shard(2), "a killed shard must restart");
+            restarted = true;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no failover + readmit of shard 2 within 10s"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let per_shard = rt.shard_stats();
+    let installed: u64 = per_shard.iter().map(|s| s.views_installed).sum();
+    assert!(installed > 0, "catch-up never copied a view");
+    for (shard, s) in per_shard.iter().enumerate() {
+        assert_eq!(
+            s.updates + s.queries,
+            s.batches,
+            "shard {shard}: op counters disagree with the batches served: {s:?}"
+        );
+    }
+    drop(c);
+    let report = rt.shutdown();
+    assert!(report.rejoins >= 1 && report.readmits >= 1);
+}

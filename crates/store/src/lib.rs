@@ -21,15 +21,12 @@
 //! * [`merge`] — the shared top-k reply merge: the flat sort-merge
 //!   reference and the allocation-free k-way [`ReplyMerger`] the clients
 //!   use on per-shard wire replies.
-//! * [`worker`] — the wire-format shard-worker protocol shared by every
-//!   execution harness (batch replay and the online serve runtime),
-//!   including the extract/install requests of live rebalancing. The hot
-//!   path is the coalesced [`ShardBatch`] plane: pooled view lists and
-//!   reply buffers ([`BufferPool`]) and one pooled reply channel per
-//!   client ([`ShardClient`]).
-//! * [`cluster`] — Algorithm 3's application servers driving the shards,
-//!   with a deterministic single-threaded mode (message accounting) and a
-//!   concurrent mode (real threads, wall-clock throughput).
+//! * [`worker`] — the wire-format shard-worker protocol the online serve
+//!   runtime drives, including the extract/read/install requests of view
+//!   migration. Its one data plane is the coalesced
+//!   [`ShardBatch`](worker::ShardBatch): pooled view lists and reply
+//!   buffers ([`BufferPool`]) and one pooled reply channel per client
+//!   ([`ShardClient`]).
 //! * [`placement`] — the placement-aware predicted cost of Figures 7–8:
 //!   batching makes co-located views free, so cost = distinct servers
 //!   touched per request, weighted by rates.
@@ -39,10 +36,8 @@
 //! * [`fault`] — deterministic chaos injection at the transport send seam
 //!   (kill / drop / duplicate / delay).
 
-pub mod cluster;
 pub mod fault;
 pub mod health;
-pub mod latency;
 pub mod merge;
 pub mod placement;
 pub mod server;
@@ -51,7 +46,6 @@ pub mod tuple;
 pub mod view;
 pub mod worker;
 
-pub use cluster::{Cluster, ClusterConfig};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, PartitionDir};
 pub use health::{HealthTracker, ShardHealth};
 pub use merge::ReplyMerger;

@@ -4,9 +4,8 @@
 //! duplicates removed, truncated to `k`:
 //!
 //! * [`sort_merge`] — the straightforward sort + dedup + truncate over a
-//!   flat buffer. This is the *reference* path: it used to be copied
-//!   verbatim in three places (the batch cluster's simulated query, its
-//!   concurrent client, and the serve runtime) and now lives here once.
+//!   flat buffer. This is the *reference* path behind the test oracle
+//!   [`StoreServer::query_reference`](crate::server::StoreServer::query_reference).
 //! * [`ReplyMerger`] — a bounded k-way tournament merge over per-shard
 //!   wire replies. Each reply is already sorted newest first (the
 //!   server-side filter emits merged order), so the client only needs a

@@ -234,9 +234,10 @@ impl StoreServer {
     }
 
     /// The pre-ring-buffer query path: copy every candidate, full-sort,
-    /// dedup, truncate. Kept as the differential-testing oracle for
-    /// [`query_with`](StoreServer::query_with) (`tests/query_differential.rs`)
-    /// and as the legacy half of the serve benchmark's before/after mode.
+    /// dedup, truncate. A test oracle only: `tests/query_differential.rs`
+    /// checks [`query_with`](StoreServer::query_with) against it, and the
+    /// serve benchmark's store microbenchmark times against it. No request
+    /// path calls it.
     pub fn query_reference(&mut self, views: &[NodeId], k: usize) -> Vec<EventTuple> {
         self.stats.queries += 1;
         if k == 0 {
@@ -266,11 +267,6 @@ impl StoreServer {
         self.views.clear();
     }
 
-    /// `(updates, queries)` processed since construction.
-    pub fn request_counts(&self) -> (u64, u64) {
-        (self.stats.updates, self.stats.queries)
-    }
-
     /// Point-in-time copy of every per-shard counter.
     pub fn stats(&self) -> ShardStats {
         self.stats
@@ -285,12 +281,6 @@ impl StoreServer {
     /// Read-only access to a view (tests/diagnostics).
     pub fn view(&self, user: NodeId) -> Option<&View> {
         self.views.get(&user)
-    }
-
-    /// Installs a pre-populated view (used by cluster re-partitioning to
-    /// carry over views whose placement did not change).
-    pub fn adopt_view(&mut self, user: NodeId, view: View) {
-        self.views.insert(user, view);
     }
 
     /// Removes `user`'s view and returns it — the donor side of a live
@@ -366,7 +356,7 @@ mod tests {
         let r = s.query(&[1, 2], 0);
         assert!(r.is_empty());
         // The query is still counted.
-        assert_eq!(s.request_counts(), (1, 1));
+        assert_eq!((s.stats().updates, s.stats().queries), (1, 1));
     }
 
     #[test]
@@ -467,7 +457,7 @@ mod tests {
         s.update(&[1], ev(1, 1, 1));
         s.query(&[1], 10);
         s.query(&[1], 10);
-        assert_eq!(s.request_counts(), (1, 2));
+        assert_eq!((s.stats().updates, s.stats().queries), (1, 2));
     }
 
     #[test]

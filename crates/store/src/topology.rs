@@ -1,16 +1,15 @@
 //! The cluster topology: which data-store server owns each user's view.
 //!
 //! Every layer that needs shard ownership — the placement-aware cost model,
-//! the batch prototype ([`crate::cluster`]), the wire-format worker protocol
-//! ([`crate::worker`]) and the online serve runtime — routes through one
-//! [`Topology`]: a server count plus a flat `user → shard` array (CSR-style
-//! flat storage instead of per-user hash maps, after the in-memory
-//! graph-analytics playbook). The paper's prototype hashes users to random
-//! servers (§4.3); that policy is now just one [`Partitioner`] among
-//! several, and the partition map itself becomes an optimized dimension:
-//! the schedule-aware partitioner places the heavy hub → consumer traffic
-//! of an optimized push/pull schedule *intra-server*, where batching makes
-//! it free.
+//! the wire-format worker protocol ([`crate::worker`]) and the online serve
+//! runtime — routes through one [`Topology`]: a server count plus a flat
+//! `user → shard` array (CSR-style flat storage instead of per-user hash
+//! maps, after the in-memory graph-analytics playbook). The paper's
+//! prototype hashes users to random servers (§4.3); that policy is now
+//! just one [`Partitioner`] among several, and the partition map itself
+//! becomes an optimized dimension: the schedule-aware partitioner places
+//! the heavy hub → consumer traffic of an optimized push/pull schedule
+//! *intra-server*, where batching makes it free.
 //!
 //! Partitioners:
 //!
@@ -258,8 +257,8 @@ impl Topology {
 
     /// Groups `targets` by home server and invokes `f(server, views)` once
     /// per touched server — the one batched message per server of
-    /// Algorithm 3. The single shard-ownership derivation every execution
-    /// path (batch cluster, wire dispatch, serve runtime) shares.
+    /// Algorithm 3. The single shard-ownership derivation every request
+    /// path shares.
     pub fn group_by_server(&self, targets: &[NodeId], f: impl FnMut(usize, &[NodeId])) {
         self.group_by_server_with(targets, &mut GroupScratch::default(), f);
     }

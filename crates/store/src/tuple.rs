@@ -2,7 +2,7 @@
 //! as (user id, event id, timestamp) tuples into user views ... The tuple
 //! size is 24 bytes").
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use piggyback_graph::NodeId;
 
 /// Wire size of an encoded tuple.
@@ -39,15 +39,8 @@ impl EventTuple {
         buf.put_u64_le(self.timestamp);
     }
 
-    /// Encodes into a fresh buffer.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(TUPLE_BYTES);
-        self.encode(&mut b);
-        b.freeze()
-    }
-
     /// Encodes into a stack array — the allocation-free wire form the
-    /// batched update plane ships (same layout as [`encode`](Self::encode)).
+    /// update batches ship (same layout as [`encode`](Self::encode)).
     pub fn to_wire(&self) -> [u8; TUPLE_BYTES] {
         let mut out = [0u8; TUPLE_BYTES];
         out[0..8].copy_from_slice(&(self.user as u64).to_le_bytes());
@@ -94,14 +87,16 @@ mod tests {
 
     #[test]
     fn wire_size_is_24_bytes() {
-        let t = EventTuple::new(7, 42, 1000);
-        assert_eq!(t.to_bytes().len(), TUPLE_BYTES);
+        let mut buf = BytesMut::new();
+        EventTuple::new(7, 42, 1000).encode(&mut buf);
+        assert_eq!(buf.len(), TUPLE_BYTES);
     }
 
     #[test]
     fn roundtrip() {
         let t = EventTuple::new(123, u64::MAX, 55);
-        let mut bytes = t.to_bytes();
+        let mut bytes = BytesMut::new();
+        t.encode(&mut bytes);
         assert_eq!(EventTuple::decode(&mut bytes), Some(t));
     }
 
@@ -109,16 +104,17 @@ mod tests {
     fn wire_array_matches_heap_encoding() {
         let t = EventTuple::new(77, 42, 9000);
         let wire = t.to_wire();
-        assert_eq!(&wire[..], &t.to_bytes()[..]);
+        let mut heap = BytesMut::new();
+        t.encode(&mut heap);
+        assert_eq!(&wire[..], &heap.freeze()[..]);
         let mut cursor: &[u8] = &wire;
         assert_eq!(EventTuple::decode(&mut cursor), Some(t));
     }
 
     #[test]
     fn decode_short_buffer_fails() {
-        let t = EventTuple::new(1, 2, 3);
-        let bytes = t.to_bytes();
-        let mut short = bytes.slice(0..10);
+        let wire = EventTuple::new(1, 2, 3).to_wire();
+        let mut short = &wire[..10];
         assert_eq!(EventTuple::decode(&mut short), None);
     }
 

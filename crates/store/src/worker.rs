@@ -1,37 +1,28 @@
 //! Reusable shard-worker plumbing: the wire-format request/reply protocol
 //! between application-server clients and data-store shards.
 //!
-//! Both execution harnesses share this module — the batch-replay
-//! [`Cluster`](crate::cluster::Cluster) (scoped worker threads, fixed
-//! request count) and the online `piggyback-serve` runtime (long-running
-//! owned worker threads, live churn). A worker owns the channel receiver;
-//! shard `s` is handled by worker `s % workers`, so thousands of logical
+//! The online `piggyback-serve` runtime drives this module: long-running
+//! worker threads own the channel receivers, and shard `s`'s control
+//! requests are handled by worker `s % workers`, so thousands of logical
 //! servers multiplex onto a bounded thread pool.
 //!
 //! Requests and replies cross the channel in the 24-byte wire format, so
 //! every message pays realistic (de)serialization work — as a memcached
 //! round trip would (§4.3).
 //!
-//! Two request planes coexist:
+//! There is one request plane for data: [`ShardBatch`] via
+//! [`ShardClient`]. One operation's shard fan-out is packed into one
+//! message per touched shard, every message answers into the *same*
+//! pooled per-client reply channel, view lists and reply payloads ride
+//! pooled buffers ([`BufferPool`]), and the client merges per-shard
+//! replies with a bounded k-way merge. Steady state sends no fresh
+//! channel, `Vec`, or reply buffer per operation.
 //!
-//! * **Batched** ([`ShardBatch`] via [`ShardClient`]) — the hot path. One
-//!   operation's shard fan-out is packed into one message per touched
-//!   shard, every message answers into the *same* pooled per-client reply
-//!   channel, view lists and reply payloads ride pooled buffers
-//!   ([`BufferPool`]), and the client merges per-shard replies with a
-//!   bounded k-way merge. Steady state sends no fresh channel, `Vec`, or
-//!   reply buffer per operation.
-//! * **Legacy** (the free-standing [`ShardRequest::Update`] /
-//!   [`ShardRequest::Query`] variants plus [`dispatch`]) — the pre-PR
-//!   protocol: one fresh rendezvous channel per request and a fresh
-//!   allocation per view list and reply. Kept verbatim as the *before*
-//!   half of the serve benchmark's before/after mode, and as the shape of
-//!   the migration plane.
-//!
-//! View migration (live rebalancing onto a new [`Topology`]) speaks the
-//! same wire format over [`ShardRequest::ExtractView`] /
-//! [`ShardRequest::InstallView`]: a view is extracted as its wire encoding
-//! and installed by replaying the tuples.
+//! View migration (live rebalancing, failover and rejoin catch-up) speaks
+//! the same wire format over three requests: [`ShardRequest::ExtractView`]
+//! removes a view and returns its wire encoding, [`ShardRequest::ReadView`]
+//! returns the encoding and leaves the view in place, and
+//! [`ShardRequest::InstallView`] merges the tuples into a view elsewhere.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -169,28 +160,6 @@ pub struct ShardBatch {
 pub enum ShardRequest {
     /// The coalesced hot path (see [`ShardClient`]).
     Batch(ShardBatch),
-    /// Legacy update: insert a wire-encoded event into every listed view.
-    Update {
-        /// Target shard index.
-        shard: usize,
-        /// Views on that shard to insert into.
-        views: Vec<NodeId>,
-        /// Wire-encoded [`EventTuple`].
-        payload: Bytes,
-        /// Acknowledgement channel (empty reply).
-        done: Sender<Bytes>,
-    },
-    /// Legacy query: read the `k` latest events across the listed views.
-    Query {
-        /// Target shard index.
-        shard: usize,
-        /// Views on that shard to read.
-        views: Vec<NodeId>,
-        /// Server-side filter width.
-        k: usize,
-        /// Reply channel (wire-encoded tuples, newest first).
-        done: Sender<Bytes>,
-    },
     /// Remove `view` from the shard and reply with its wire-encoded
     /// contents (empty if the view was never materialized) — the donor
     /// half of a live migration.
@@ -198,6 +167,18 @@ pub enum ShardRequest {
         /// Shard giving the view up.
         shard: usize,
         /// The user whose view moves.
+        view: NodeId,
+        /// Reply channel (wire-encoded tuples).
+        done: Sender<Bytes>,
+    },
+    /// Reply with `view`'s wire-encoded contents, newest first, leaving
+    /// the view in place (empty if it was never materialized) — the
+    /// non-destructive donor read of failover and rejoin catch-up. Touches
+    /// no operation counter.
+    ReadView {
+        /// Shard holding the view.
+        shard: usize,
+        /// The user whose view is copied.
         view: NodeId,
         /// Reply channel (wire-encoded tuples).
         done: Sender<Bytes>,
@@ -210,7 +191,8 @@ pub enum ShardRequest {
         shard: usize,
         /// The user whose view moves.
         view: NodeId,
-        /// Wire-encoded tuples from [`ShardRequest::ExtractView`].
+        /// Wire-encoded tuples from [`ShardRequest::ExtractView`] or
+        /// [`ShardRequest::ReadView`].
         payload: Bytes,
         /// Acknowledgement channel (empty reply).
         done: Sender<Bytes>,
@@ -253,9 +235,8 @@ impl ShardRequest {
     pub fn shard(&self) -> usize {
         match self {
             ShardRequest::Batch(b) => b.shard,
-            ShardRequest::Update { shard, .. }
-            | ShardRequest::Query { shard, .. }
-            | ShardRequest::ExtractView { shard, .. }
+            ShardRequest::ExtractView { shard, .. }
+            | ShardRequest::ReadView { shard, .. }
             | ShardRequest::InstallView { shard, .. }
             | ShardRequest::Stats { shard, .. }
             | ShardRequest::Heartbeat { shard, .. }
@@ -303,28 +284,16 @@ pub fn handle_request(
             pool.put_vec(views);
             let _ = reply.send(out);
         }
-        ShardRequest::Update {
-            shard,
-            views,
-            mut payload,
-            done,
-        } => {
-            let event = EventTuple::decode(&mut payload).expect("malformed update payload");
-            shards[shard].lock().update(&views, event);
-            let _ = done.send(Bytes::new());
-        }
-        ShardRequest::Query {
-            shard,
-            views,
-            k,
-            done,
-        } => {
-            let out = shards[shard].lock().query_reference(&views, k);
-            let _ = done.send(encode_tuples(&out));
-        }
         ShardRequest::ExtractView { shard, view, done } => {
             let taken = shards[shard].lock().remove_view(view);
             let reply = match taken {
+                Some(v) => encode_tuples(&v.to_vec_newest()),
+                None => Bytes::new(),
+            };
+            let _ = done.send(reply);
+        }
+        ShardRequest::ReadView { shard, view, done } => {
+            let reply = match shards[shard].lock().view(view) {
                 Some(v) => encode_tuples(&v.to_vec_newest()),
                 None => Bytes::new(),
             };
@@ -384,9 +353,8 @@ pub fn worker_loop(shards: &[Mutex<StoreServer>], pool: &BufferPool, rx: &Receiv
 #[derive(Clone)]
 pub enum Transport {
     /// Channels to the shard-worker pool: batches execute on worker
-    /// threads, the distributed-store simulation every earlier harness
-    /// uses (and the only choice when store work must overlap the
-    /// caller's).
+    /// threads, the distributed-store simulation (and the only choice
+    /// when store work must overlap the caller's).
     Workers(Arc<Vec<Sender<ShardRequest>>>),
     /// Caller-runs: the issuing thread executes each batch inline against
     /// the shard mutexes. The protocol is bit-identical — the same
@@ -468,8 +436,8 @@ impl ShardClient {
     }
 
     /// Attaches the runtime's shared failure detector and fault injector.
-    /// With neither attached (and replication 1) every send takes the
-    /// original fan-out path byte for byte.
+    /// With neither attached (and replication 1) every batch goes to its
+    /// view's home server.
     pub fn with_resilience(
         mut self,
         health: Option<Arc<HealthTracker>>,
@@ -480,8 +448,9 @@ impl ShardClient {
         self
     }
 
-    /// The worker that serves this operation. Unlike the legacy plane's
-    /// per-shard `shard % workers` routing, the batched plane gives one
+    /// The worker that serves this operation. Unlike the per-shard
+    /// `shard % workers` routing of control requests
+    /// ([`send_to_shard_async`]), the batched plane gives one
     /// operation's whole fan-out to a single worker (round-robin across
     /// ops): shard state is owned by the mutex, not the thread, so any
     /// worker may serve any shard, and landing all of an op's batches on
@@ -537,65 +506,13 @@ impl ShardClient {
     /// touched server over the transport. Returns the number of messages —
     /// exactly the number of replies the caller must collect.
     ///
-    /// With replication 1 and no resilience attached this is the original
-    /// fan-out, untouched. Otherwise writes cover every replica slot,
-    /// reads route per view to the healthiest readable replica, and the
-    /// fault injector gets a say on each outgoing batch.
-    fn fan_out(
-        &mut self,
-        topology: &Topology,
-        targets: &[NodeId],
-        write: bool,
-        op_of: impl Fn(usize) -> BatchOp,
-    ) -> u64 {
-        if topology.replication() == 1 && self.health.is_none() && self.faults.is_none() {
-            let mut sent = 0u64;
-            let (pool, reply_tx, scratch) = (&self.pool, &self.reply_tx, &mut self.scratch);
-            match &self.transport {
-                Transport::Workers(senders) => {
-                    let worker = Self::op_worker(&mut self.next_op, senders);
-                    topology.group_by_server_with(targets, &mut self.group, |shard, views| {
-                        let mut list = pool.get_vec();
-                        list.extend_from_slice(views);
-                        senders[worker]
-                            .send(ShardRequest::Batch(ShardBatch {
-                                shard,
-                                views: list,
-                                op: op_of(shard),
-                                reply: reply_tx.clone(),
-                            }))
-                            .expect("worker channel closed");
-                        sent += 1;
-                    });
-                }
-                Transport::Direct(shards) => {
-                    topology.group_by_server_with(targets, &mut self.group, |shard, views| {
-                        let mut list = pool.get_vec();
-                        list.extend_from_slice(views);
-                        handle_request(
-                            shards,
-                            pool,
-                            scratch,
-                            ShardRequest::Batch(ShardBatch {
-                                shard,
-                                views: list,
-                                op: op_of(shard),
-                                reply: reply_tx.clone(),
-                            }),
-                        );
-                        sent += 1;
-                    });
-                }
-            }
-            return sent;
-        }
-        self.fan_out_resilient(topology, targets, write, op_of)
-    }
-
-    /// The replicated / fault-aware fan-out. Kill semantics are
+    /// Writes cover every replica slot, reads route per view to the
+    /// healthiest readable replica (with replication 1 and no resilience
+    /// attached, both are just the home server), and the fault injector
+    /// gets a say on each outgoing batch. Kill semantics are
     /// connection-refused: the batch is never sent and no reply slot is
     /// reserved, so a dead shard costs a health miss, not a hang.
-    fn fan_out_resilient(
+    fn fan_out(
         &mut self,
         topology: &Topology,
         targets: &[NodeId],
@@ -610,6 +527,23 @@ impl ShardClient {
         let worker = match transport {
             Transport::Workers(senders) => Self::op_worker(&mut self.next_op, senders),
             Transport::Direct(_) => 0,
+        };
+        // Hands one batch to the transport, its reply bound for `reply`.
+        let mut send = |shard: usize, views: &[NodeId], reply: Sender<BytesMut>| {
+            let mut list = pool.get_vec();
+            list.extend_from_slice(views);
+            let req = ShardRequest::Batch(ShardBatch {
+                shard,
+                views: list,
+                op: op_of(shard),
+                reply,
+            });
+            match transport {
+                Transport::Workers(senders) => {
+                    senders[worker].send(req).expect("worker channel closed");
+                }
+                Transport::Direct(shards) => handle_request(shards, pool, scratch, req),
+            }
         };
         let mut emit = |shard: usize, views: &[NodeId]| {
             if let Some(f) = faults {
@@ -632,24 +566,11 @@ impl ShardClient {
                     }
                     Some(PartitionDir::Outbound) => {
                         // The request arrives and mutates shard state,
-                        // but the reply is lost: deliver into a shadow
-                        // channel the caller never reads.
+                        // but the reply is lost: it answers into a
+                        // throwaway channel whose receiver is already
+                        // gone — workers tolerate that.
                         f.note_partitioned();
-                        let mut list = pool.get_vec();
-                        list.extend_from_slice(views);
-                        let (shadow_tx, _shadow_rx) = bounded(1);
-                        let req = ShardRequest::Batch(ShardBatch {
-                            shard,
-                            views: list,
-                            op: op_of(shard),
-                            reply: shadow_tx,
-                        });
-                        match transport {
-                            Transport::Workers(senders) => {
-                                senders[worker].send(req).expect("worker channel closed");
-                            }
-                            Transport::Direct(shards) => handle_request(shards, pool, scratch, req),
-                        }
+                        send(shard, views, bounded(1).0);
                         return;
                     }
                     None => {}
@@ -668,39 +589,11 @@ impl ShardClient {
                 std::thread::sleep(faults.expect("delay without injector").plan().delay);
             }
             if decision == FaultDecision::Duplicate {
-                // Redelivery: the same batch lands twice back-to-back.
-                // The shadow copy answers into a throwaway channel whose
-                // receiver is already gone — workers tolerate that.
-                let mut list = pool.get_vec();
-                list.extend_from_slice(views);
-                let (shadow_tx, _shadow_rx) = bounded(1);
-                let req = ShardRequest::Batch(ShardBatch {
-                    shard,
-                    views: list,
-                    op: op_of(shard),
-                    reply: shadow_tx,
-                });
-                match transport {
-                    Transport::Workers(senders) => {
-                        senders[worker].send(req).expect("worker channel closed");
-                    }
-                    Transport::Direct(shards) => handle_request(shards, pool, scratch, req),
-                }
+                // Redelivery: the same batch lands twice back-to-back; the
+                // shadow copy's reply goes to a throwaway channel.
+                send(shard, views, bounded(1).0);
             }
-            let mut list = pool.get_vec();
-            list.extend_from_slice(views);
-            let req = ShardRequest::Batch(ShardBatch {
-                shard,
-                views: list,
-                op: op_of(shard),
-                reply: reply_tx.clone(),
-            });
-            match transport {
-                Transport::Workers(senders) => {
-                    senders[worker].send(req).expect("worker channel closed");
-                }
-                Transport::Direct(shards) => handle_request(shards, pool, scratch, req),
-            }
+            send(shard, views, reply_tx.clone());
             sent += 1;
         };
         if write && topology.replication() > 1 {
@@ -777,33 +670,6 @@ pub fn send_to_shard(
         .expect("worker dropped reply")
 }
 
-/// Groups `targets` by home server under `topology`, sends one request per
-/// touched server via the worker channels (`shard % senders.len()`
-/// routing), and waits for every reply — a request completes when all
-/// per-server replies arrived (Algorithm 3's ack handling).
-///
-/// This is the **legacy** request plane: every request mints a fresh
-/// rendezvous channel and a fresh view list. The batched plane
-/// ([`ShardClient`]) replaces it on the serving hot path; this survives as
-/// the before/after baseline and for one-shot callers.
-pub fn dispatch(
-    topology: &Topology,
-    senders: &[Sender<ShardRequest>],
-    targets: &[NodeId],
-    make: impl Fn(usize, Vec<NodeId>, Sender<Bytes>) -> ShardRequest,
-) -> Vec<Bytes> {
-    let mut pending = Vec::new();
-    topology.group_by_server(targets, |shard, views| {
-        pending.push(send_to_shard_async(senders, |done| {
-            make(shard, views.to_vec(), done)
-        }));
-    });
-    pending
-        .into_iter()
-        .map(|rx| rx.recv().expect("worker dropped reply"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,47 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_serves_legacy_update_then_query() {
-        let (shards, pool) = boot_two_shards();
-        let topology = Topology::hash(16, 2, 0);
-        let (tx, rx) = unbounded::<ShardRequest>();
-        std::thread::scope(|s| {
-            let (shards, pool) = (&shards, &pool);
-            s.spawn(move || worker_loop(shards, pool, &rx));
-            let senders = vec![tx.clone(), tx.clone()];
-            let event = EventTuple::new(7, 1, 100);
-            let replies = dispatch(&topology, &senders, &[1, 2, 3], |shard, views, done| {
-                ShardRequest::Update {
-                    shard,
-                    views,
-                    payload: event.to_bytes(),
-                    done,
-                }
-            });
-            assert!(!replies.is_empty());
-            let replies = dispatch(&topology, &senders, &[1, 2, 3], |shard, views, done| {
-                ShardRequest::Query {
-                    shard,
-                    views,
-                    k: 10,
-                    done,
-                }
-            });
-            // Each shard returns the event once (server-side dedup across
-            // co-located views), so the merged total is one per shard hit.
-            let mut seen = 0;
-            for mut reply in replies {
-                while let Some(t) = EventTuple::decode(&mut reply) {
-                    assert_eq!(t, event);
-                    seen += 1;
-                }
-            }
-            assert_eq!(seen, topology.distinct_servers([1, 2, 3]));
-            drop(tx);
-        });
-    }
-
-    #[test]
     fn batched_client_round_trips_and_recycles_buffers() {
         let (shards, pool) = boot_two_shards();
         let topology = Topology::hash(64, 2, 0);
@@ -872,7 +697,7 @@ mod tests {
             let mut client =
                 ShardClient::new(Transport::Workers(Arc::clone(&senders)), Arc::clone(&pool));
             let mut out = Vec::new();
-            let mut targets: Vec<NodeId> = (0..32).collect();
+            let targets: Vec<NodeId> = (0..32).collect();
             for round in 0..50u64 {
                 let event = EventTuple::new(5, round, round + 1);
                 let msgs = client.update(&topology, &targets, event.to_wire());
@@ -883,20 +708,11 @@ mod tests {
                 assert!(out.windows(2).all(|w| w[0] > w[1]), "newest first");
                 assert_eq!(out[0], event);
             }
-            // Same answer as the legacy plane.
-            targets.sort_unstable();
-            let legacy = dispatch(&topology, &senders, &targets, |shard, views, done| {
-                ShardRequest::Query {
-                    shard,
-                    views,
-                    k: 10,
-                    done,
-                }
-            });
+            // Same answer as the reference query path, shard by shard.
             let mut flat = Vec::new();
-            for mut reply in legacy {
-                EventTuple::decode_all(&mut reply, &mut flat);
-            }
+            topology.group_by_server(&targets, |shard, views| {
+                flat.extend(shards[shard].lock().query_reference(views, 10));
+            });
             crate::merge::sort_merge(&mut flat, 10);
             assert_eq!(out, flat);
             drop(tx);
@@ -948,6 +764,39 @@ mod tests {
             let empty = send_to_shard(&senders, |done| ShardRequest::ExtractView {
                 shard: 0,
                 view: 42,
+                done,
+            });
+            assert!(empty.is_empty());
+            drop(tx);
+        });
+    }
+
+    #[test]
+    fn read_view_copies_without_removing_or_counting() {
+        let (shards, pool) = boot_two_shards();
+        let (tx, rx) = unbounded::<ShardRequest>();
+        std::thread::scope(|s| {
+            let (shards, pool) = (&shards, &pool);
+            s.spawn(move || worker_loop(shards, pool, &rx));
+            let senders = vec![tx.clone()];
+            let a = EventTuple::new(5, 1, 10);
+            let b = EventTuple::new(6, 2, 20);
+            shards[0].lock().update(&[5], a);
+            shards[0].lock().update(&[5], b);
+            let before = shards[0].lock().stats();
+            let mut payload = send_to_shard(&senders, |done| ShardRequest::ReadView {
+                shard: 0,
+                view: 5,
+                done,
+            });
+            let mut events = Vec::new();
+            EventTuple::decode_all(&mut payload, &mut events);
+            assert_eq!(events, vec![b, a], "newest first");
+            assert!(shards[0].lock().view(5).is_some(), "donor keeps the view");
+            assert_eq!(shards[0].lock().stats(), before, "reads touch no counter");
+            let empty = send_to_shard(&senders, |done| ShardRequest::ReadView {
+                shard: 1,
+                view: 5,
                 done,
             });
             assert!(empty.is_empty());

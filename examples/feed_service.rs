@@ -6,16 +6,17 @@
 //! artists. The curator's view is a natural hub: artists push into it once,
 //! every fan pulls it once, and all artist→fan edges ride along for free.
 //!
-//! Demonstrates: building the sharded store, sharing events, assembling
-//! feeds, and comparing data-store message counts between schedules — the
-//! quantity that determines real throughput once the store saturates.
+//! Demonstrates: booting the serving runtime on the sharded store, sharing
+//! events, assembling feeds, and comparing data-store message counts
+//! between schedules — the quantity that determines real throughput once
+//! the store saturates.
 //!
 //! ```text
 //! cargo run --release --example feed_service
 //! ```
 
 use social_piggybacking::prelude::*;
-use social_piggybacking::store::cluster::ClusterConfig;
+use social_piggybacking::serve::RpcMode;
 
 const ARTISTS: u32 = 10;
 const CURATOR: u32 = ARTISTS; // node 10
@@ -46,29 +47,38 @@ fn main() {
     );
     assert!(covered > 0, "the curator hub should be exploited");
 
-    // A 4-server store cluster running that schedule.
-    let mut cluster = Cluster::new(
-        &graph,
-        &schedule,
-        ClusterConfig {
-            servers: 4,
-            top_k: 10,
-            ..Default::default()
-        },
-    );
+    // A 4-shard store behind the serving runtime, shard work running on
+    // the calling thread.
+    let config = ServeConfig {
+        shards: 4,
+        top_k: 10,
+        rpc: RpcMode::Direct,
+        ..Default::default()
+    };
+    let boot = |schedule: &Schedule, config: ServeConfig| {
+        ServeRuntime::start(
+            graph.clone(),
+            rates.clone(),
+            schedule.clone(),
+            Box::new(Hybrid),
+            config,
+        )
+    };
+    let runtime = boot(&schedule, config);
+    let mut client = runtime.client();
 
     // Three artists share events; the curator shares one too.
-    for (event_id, artist) in [(1u64, 0u32), (2, 1), (3, 2)] {
-        cluster.share(artist, event_id);
+    for artist in [0u32, 1, 2] {
+        client.share(artist);
     }
-    cluster.share(CURATOR, 100);
+    client.share(CURATOR);
 
     // A fan assembles their feed: artist events must arrive even though
     // most artist→fan edges are never pushed or pulled directly.
     let billie = 11;
-    let (feed, messages) = cluster.query(billie);
+    let (feed, messages) = client.query(billie);
     println!("fan {billie}'s feed ({messages} store messages):");
-    for e in &feed {
+    for e in feed.iter() {
         println!(
             "  event {} from user {} at t={}",
             e.event_id, e.user, e.timestamp
@@ -78,24 +88,33 @@ fn main() {
         feed.iter().filter(|e| e.user < ARTISTS).count() >= 3,
         "fan must see the artists' events"
     );
+    drop(client);
+    runtime.shutdown();
 
     // Message accounting: replay one trace under both schedules.
     let ff = Hybrid.schedule(&inst).schedule;
-    let cfg = ClusterConfig {
-        servers: 64,
-        ..Default::default()
+    let replay = |schedule: &Schedule| {
+        let runtime = boot(
+            schedule,
+            ServeConfig {
+                shards: 64,
+                ..config
+            },
+        );
+        let mut client = runtime.client();
+        let messages = client.replay(OpTrace::new(&rates, 0.0, 7).take(50_000));
+        drop(client);
+        runtime.shutdown();
+        messages
     };
-    let mut t1 = RequestTrace::new(&rates, 7);
-    let mut t2 = RequestTrace::new(&rates, 7);
-    let pn_stats = Cluster::new(&graph, &schedule, cfg).simulate(&mut t1, 50_000);
-    let ff_stats = Cluster::new(&graph, &ff, cfg).simulate(&mut t2, 50_000);
+    let (pn_msgs, ff_msgs) = (replay(&schedule), replay(&ff));
     println!(
         "50k requests on 64 servers: piggybacking {:.3} msgs/req vs hybrid {:.3} msgs/req",
-        pn_stats.messages_per_request(),
-        ff_stats.messages_per_request()
+        pn_msgs as f64 / 50_000.0,
+        ff_msgs as f64 / 50_000.0
     );
     println!(
         "=> {:.1}% fewer data-store messages",
-        100.0 * (1.0 - pn_stats.messages as f64 / ff_stats.messages as f64)
+        100.0 * (1.0 - pn_msgs as f64 / ff_msgs as f64)
     );
 }

@@ -68,7 +68,7 @@ const USAGE: &str = "usage:
                      [--cache-ttl-ms <n>] [--reopt-threshold <f>] \\
                      [--partitioner <name>] [--rebalance-threshold <f>] \\
                      [--rw-ratio <r>] [--seed <s>] [--threads <t>] \\
-                     [--rpc <batched|direct|legacy>] [--stats-interval <1s|500ms>]
+                     [--rpc <batched|direct>] [--stats-interval <1s|500ms>]
 
 <name> under --algorithm is any registered scheduler (see `compare`
 output), e.g. hybrid, chitchat, parallelnosy, parallelnosy-mr,
@@ -455,7 +455,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         .ok_or_else(|| format!("unknown partitioner {partition_name:?}"))?;
     let rpc_name = flags.get("rpc").map(String::as_str).unwrap_or("batched");
     let rpc = piggyback_serve::RpcMode::parse(rpc_name)
-        .ok_or_else(|| format!("unknown rpc mode {rpc_name:?} (batched|direct|legacy)"))?;
+        .ok_or_else(|| format!("unknown rpc mode {rpc_name:?} (batched|direct)"))?;
     let serve_config = ServeConfig {
         shards: parsed(flags, "servers", 64)?,
         rpc,

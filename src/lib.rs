@@ -85,8 +85,6 @@ pub mod prelude {
     pub use piggyback_serve::{
         run_harness, Arrival, HarnessConfig, HarnessReport, ServeClient, ServeConfig, ServeRuntime,
     };
-    pub use piggyback_store::cluster::{Cluster, ClusterConfig};
-    pub use piggyback_store::latency::LatencyHistogram;
     pub use piggyback_store::placement::PlacementCost;
     pub use piggyback_store::topology::{
         partitioner_by_name, partitioners, PartitionRequest, PartitionStrategy, Partitioner,

@@ -1,12 +1,77 @@
-//! Cross-crate integration tests: graph → workload → scheduling → store,
-//! exercising the public facade the way an application would.
+//! Cross-crate integration tests: graph → workload → scheduling → store
+//! → serving runtime, exercising the public facade the way an application
+//! would.
 
 use social_piggybacking::core::validate::coverage_report;
 use social_piggybacking::prelude::*;
-use social_piggybacking::store::cluster::ClusterConfig;
+use social_piggybacking::serve::RpcMode;
 
 fn world(nodes: usize, seed: u64) -> (CsrGraph, Rates) {
     let g = gen::flickr_like(nodes, seed);
+    let r = Rates::log_degree(&g, 5.0);
+    (g, r)
+}
+
+/// Boots the serving runtime on `schedule` with one caller-runs client —
+/// Algorithm 3's application server on the deterministic plane: no worker
+/// threads, and with no churn the schedule never changes.
+fn serve(
+    g: &CsrGraph,
+    r: &Rates,
+    schedule: Schedule,
+    config: ServeConfig,
+) -> (ServeRuntime, ServeClient) {
+    let rt = ServeRuntime::start(
+        g.clone(),
+        r.clone(),
+        schedule,
+        Box::new(Hybrid),
+        ServeConfig {
+            rpc: RpcMode::Direct,
+            ..config
+        },
+    );
+    let client = rt.client();
+    (rt, client)
+}
+
+/// Drops the client and shuts the runtime down, checking the end-of-run
+/// bounded-staleness validation.
+fn finish(rt: ServeRuntime, client: ServeClient) {
+    drop(client);
+    assert!(rt.shutdown().churn.zero_violations());
+}
+
+/// Share/query requests only: the rate-faithful trace of §4.3.
+fn requests(r: &Rates, seed: u64, count: usize) -> impl Iterator<Item = Op> {
+    OpTrace::new(r, 0.0, seed).take(count)
+}
+
+/// Figure 2's triangle: Art (0) → Charlie (1) → Billie (2) plus the
+/// direct edge 0 → 2, with rates that make Charlie a piggybacking hub.
+fn fig2_world() -> (CsrGraph, Rates, Schedule) {
+    let mut b = GraphBuilder::new();
+    b.add_edge(0, 1);
+    b.add_edge(1, 2);
+    b.add_edge(0, 2);
+    let g = b.build();
+    let r = Rates::from_vecs(vec![1.0, 5.0, 5.0], vec![5.0, 5.0, 1.8]);
+    let s = ParallelNosy::default().run(&g, &r).schedule;
+    (g, r, s)
+}
+
+fn copying_world(
+    nodes: usize,
+    follows_per_node: usize,
+    copy_prob: f64,
+    seed: u64,
+) -> (CsrGraph, Rates) {
+    let g = gen::copying(gen::CopyingConfig {
+        nodes,
+        follows_per_node,
+        copy_prob,
+        seed,
+    });
     let r = Rates::log_degree(&g, 5.0);
     (g, r)
 }
@@ -35,11 +100,12 @@ fn schedule_drives_store_and_events_flow() {
     // so no event can be legitimately aged out (hub views aggregate many
     // producers, so even a small-fan-in consumer's events can fall outside
     // a top-10 window).
-    let mut cluster = Cluster::new(
+    let (rt, mut client) = serve(
         &g,
-        &pn,
-        ClusterConfig {
-            servers: 16,
+        &r,
+        pn,
+        ServeConfig {
+            shards: 16,
             top_k: usize::MAX,
             view_capacity: 0,
             ..Default::default()
@@ -47,13 +113,13 @@ fn schedule_drives_store_and_events_flow() {
     );
     // Every user shares once, then every consumer must see all producers.
     for u in g.nodes() {
-        cluster.share(u, 1000 + u as u64);
+        client.share(u);
     }
     for v in g.nodes() {
         if g.in_degree(v) == 0 {
             continue;
         }
-        let (events, _) = cluster.query(v);
+        let (events, _) = client.query(v);
         for &p in g.in_neighbors(v) {
             assert!(
                 events.iter().any(|e| e.user == p),
@@ -61,6 +127,7 @@ fn schedule_drives_store_and_events_flow() {
             );
         }
     }
+    finish(rt, client);
 }
 
 #[test]
@@ -160,21 +227,148 @@ fn placement_model_matches_simulated_messages() {
             .sum();
         pc.cost(&placement) / total_rate
     };
-    let mut cluster = Cluster::new(
+    let (rt, mut client) = serve(
         &g,
-        &pn,
-        ClusterConfig {
-            servers,
+        &r,
+        pn,
+        ServeConfig {
+            shards: servers,
             placement_seed: 0,
             ..Default::default()
         },
     );
-    let mut trace = RequestTrace::new(&r, 17);
-    let stats = cluster.simulate(&mut trace, 60_000);
-    let simulated = stats.messages_per_request();
+    let count = 60_000;
+    let simulated = client.replay(requests(&r, 17, count)) as f64 / count as f64;
+    finish(rt, client);
     let rel_err = (simulated - analytic_msgs_per_request).abs() / analytic_msgs_per_request;
     assert!(
         rel_err < 0.03,
         "analytic {analytic_msgs_per_request:.3} vs simulated {simulated:.3}"
     );
+}
+
+#[test]
+fn piggybacked_event_reaches_consumer() {
+    let (g, r, s) = fig2_world();
+    // Covered edge 0->2 through hub 1: Art's event must reach Billie.
+    assert!(s.is_covered(g.edge_id(0, 2)));
+    let (rt, mut client) = serve(&g, &r, s, ServeConfig::default());
+    client.share(0); // Art shares
+    let (events, _) = client.query(2); // Billie queries
+    assert!(
+        events.iter().any(|e| e.user == 0),
+        "piggybacked event missing: {events:?}"
+    );
+    finish(rt, client);
+}
+
+#[test]
+fn every_edge_delivers_under_hybrid_and_parallelnosy() {
+    let (g, r) = copying_world(120, 5, 0.7, 2);
+    for sched in [
+        hybrid_schedule(&g, &r),
+        ParallelNosy::default().run(&g, &r).schedule,
+    ] {
+        // Unfiltered configuration: delivery must be complete, so turn off
+        // the top-k window and view trimming (hub views aggregate many
+        // producers and would otherwise age events out).
+        let (rt, mut client) = serve(
+            &g,
+            &r,
+            sched,
+            ServeConfig {
+                shards: 7,
+                top_k: usize::MAX,
+                view_capacity: 0,
+                ..Default::default()
+            },
+        );
+        for u in g.nodes() {
+            client.share(u);
+        }
+        for v in g.nodes().take(30) {
+            let (events, _) = client.query(v);
+            for &p in g.in_neighbors(v) {
+                assert!(
+                    events.iter().any(|e| e.user == p),
+                    "consumer {v} missing producer {p}'s event"
+                );
+            }
+        }
+        finish(rt, client);
+    }
+}
+
+#[test]
+fn piggybacking_sends_fewer_messages_than_hybrid() {
+    let (g, r) = copying_world(400, 6, 0.8, 4);
+    let messages = |sched: Schedule| {
+        let config = ServeConfig {
+            shards: 200,
+            ..Default::default()
+        };
+        let (rt, mut client) = serve(&g, &r, sched, config);
+        let sent = client.replay(requests(&r, 99, 20_000));
+        finish(rt, client);
+        sent
+    };
+    let ff = messages(hybrid_schedule(&g, &r));
+    let pn = messages(ParallelNosy::default().run(&g, &r).schedule);
+    assert!(pn < ff, "PN {pn} vs FF {ff} messages");
+}
+
+#[test]
+fn one_server_means_one_message_per_request() {
+    // With one server every request is exactly one message under any
+    // schedule — piggybacking cannot help (left edge of Figure 6).
+    let (g, r, pn) = fig2_world();
+    for sched in [pn, hybrid_schedule(&g, &r)] {
+        let config = ServeConfig {
+            shards: 1,
+            ..Default::default()
+        };
+        let (rt, mut client) = serve(&g, &r, sched, config);
+        assert_eq!(client.replay(requests(&r, 5, 2000)), 2000);
+        finish(rt, client);
+    }
+}
+
+#[test]
+fn replay_is_deterministic() {
+    let (g, r, s) = fig2_world();
+    let run = || {
+        let (rt, mut client) = serve(&g, &r, s.clone(), ServeConfig::default());
+        let per_op: Vec<u64> = requests(&r, 3, 1000)
+            .map(|op| client.apply_op(op))
+            .collect();
+        let stream = client.query(2).0;
+        finish(rt, client);
+        (per_op, stream)
+    };
+    assert_eq!(run(), run());
+}
+
+#[test]
+fn each_request_sends_one_message_per_distinct_server() {
+    // Algorithm 3's batching, checked exactly: a share or query sends one
+    // message to every server holding one of its target views, no more.
+    let (g, r) = copying_world(300, 5, 0.7, 8);
+    let pn = ParallelNosy::default().run(&g, &r).schedule;
+    let config = ServeConfig {
+        shards: 16,
+        ..Default::default()
+    };
+    let (rt, mut client) = serve(&g, &r, pn, config);
+    let snap = rt.snapshot();
+    let mut targets = Vec::new();
+    for op in requests(&r, 41, 5000) {
+        match op {
+            Op::Share(u) => snap.collect_push_targets(u, &mut targets),
+            Op::Query(u) => snap.collect_pull_sources(u, &mut targets),
+            Op::Follow(..) | Op::Unfollow(..) => unreachable!("churn-free trace"),
+        }
+        let expected = snap.topology().distinct_servers(targets.iter().copied());
+        assert_eq!(client.apply_op(op), expected as u64, "{op:?}");
+    }
+    finish(rt, client);
 }
