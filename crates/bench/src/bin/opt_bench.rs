@@ -2,15 +2,13 @@
 //! for every schedule optimizer across graph models, sizes, and thread
 //! counts, emitting machine-readable JSON (`BENCH_opt.json`).
 //!
-//! The headline row pair is `chitchat` vs `chitchat-ref`: the optimized
-//! CHITCHAT (persistent-pool oracle fan-out, closed-form bound seeding,
-//! allocation-free bucket peeling, cached edge costs, provably-inert
-//! recomputation skipping) against the preserved pre-optimization
-//! sequential implementation. Both drive the same argmin greedy; exact ties
-//! between equally-priced candidates may break differently (the bench
-//! asserts costs within 0.5% and reports the delta — observed ~1e-5
-//! relative at the 100k scale), so `speedup_vs_ref` measures execution
-//! efficiency, not schedule quality.
+//! Per world it runs the hybrid baseline, batch `chitchat`, streaming
+//! `chitchat-stream` and `parallelnosy`, each at every requested thread
+//! count; thread-sweep rows differ only in wall time (every optimizer is
+//! deterministic across thread counts). Speedups are measured A/B against
+//! the merge-base binary, not against an in-tree baseline; the
+//! pre-optimization greedy lives on as the differential test oracle in
+//! `crates/core/tests/chitchat_reference.rs`.
 //!
 //! ```text
 //! cargo run --release -p piggyback-bench --bin opt_bench -- [--smoke] \
@@ -25,30 +23,26 @@
 //! is the true footprint of generating that world and running that
 //! algorithm, nothing else.
 //!
-//! `--smoke` shrinks everything for CI (a couple of seconds); the default
-//! configuration runs up to a 100k-node / ~1M-edge Flickr-like graph, plus
-//! a denser Twitter-like mid-size instance. Sizes past 50k nodes switch to
-//! a reduced matrix (no sequential reference — one 100k row takes ~28
-//! minutes — and endpoint thread counts only), and past 1M nodes only the
-//! hybrid baseline and `chitchat-stream` run: the streaming sweep is what
-//! makes the committed 2.2M and 10M-node rows affordable at all. Where
-//! both run, the parent asserts the streaming cost within 5% of batch
-//! CHITCHAT.
+//! The JSON records the machine it ran on (`nproc`, CPU model). `--smoke`
+//! shrinks everything for CI (a couple of seconds: 2000-node worlds,
+//! threads 1 and 2). The default sweep runs Flickr-like worlds of 10k,
+//! 100k, 2.2M and 10M nodes plus a denser Twitter-like world at the
+//! smallest size. Past 50k nodes only the endpoint thread counts run, and
+//! past 1M nodes only the hybrid baseline and `chitchat-stream` (a batch
+//! row at that size would run for hours). Where both run, the streaming
+//! cost must land within 5% of batch CHITCHAT: a violation is listed under
+//! `gate_failures` in the JSON and fails the run once every row has run.
 
 use std::process::Command;
 use std::time::Instant;
 
 use piggyback_bench::REFERENCE_RW_RATIO;
 use piggyback_core::scheduler::{by_name_with_threads, Instance};
-use piggyback_core::ChitChat;
 use piggyback_graph::gen;
 use piggyback_workload::Rates;
 
-/// Above this node count the sequential reference is skipped (its eager
-/// serial execution is ~4x the optimized single-thread wall and grows
-/// superlinearly — ~28 minutes for one 100k row) and only endpoint thread
-/// counts run. Cost equality with the reference is still asserted at every
-/// size below the cutoff.
+/// Above this node count only the endpoint thread counts run (the scaling
+/// curve's interior adds hours without information).
 const FULL_MATRIX_MAX_NODES: usize = 50_000;
 
 /// Above this node count only the hybrid baseline and the streaming
@@ -127,6 +121,22 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
+/// The machine the sweep ran on: `{"nproc": .., "cpu_model": ".."}`, the
+/// CPU model read from `/proc/cpuinfo` (`"unknown"` where unavailable).
+fn machine_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().replace(['"', '\\'], ""))
+        })
+        .unwrap_or_else(|| "unknown".into());
+    format!("{{\"nproc\": {nproc}, \"cpu_model\": \"{cpu_model}\"}}")
+}
+
 #[derive(Clone)]
 struct Row {
     model: String,
@@ -143,7 +153,6 @@ struct Row {
     peak_rss_kb: u64,
     fanout_busy_ms: f64,
     fanout_capacity_ms: f64,
-    speedup_vs_ref: Option<f64>,
 }
 
 impl Row {
@@ -158,10 +167,6 @@ impl Row {
     }
 
     fn json(&self) -> String {
-        let speedup = match self.speedup_vs_ref {
-            Some(s) => format!(", \"speedup_vs_ref\": {s:.3}"),
-            None => String::new(),
-        };
         format!(
             concat!(
                 "    {{\"model\": \"{}\", \"nodes\": {}, \"edges\": {}, ",
@@ -169,7 +174,7 @@ impl Row {
                 "\"cost\": {:.2}, \"vs_hybrid\": {:.4}, \"oracle_calls\": {}, ",
                 "\"iterations\": {}, \"hubs\": {}, \"peak_rss_kb\": {}, ",
                 "\"fanout_busy_ms\": {:.1}, \"fanout_capacity_ms\": {:.1}, ",
-                "\"busy_frac\": {:.3}{}}}"
+                "\"busy_frac\": {:.3}}}"
             ),
             self.model,
             self.nodes,
@@ -186,7 +191,6 @@ impl Row {
             self.fanout_busy_ms,
             self.fanout_capacity_ms,
             self.busy_frac(),
-            speedup
         )
     }
 
@@ -233,7 +237,6 @@ impl Row {
             peak_rss_kb: get("peak_rss_kb").parse().unwrap(),
             fanout_busy_ms: get("fanout_busy_ms").parse().unwrap(),
             fanout_capacity_ms: get("fanout_capacity_ms").parse().unwrap(),
-            speedup_vs_ref: None,
         }
     }
 }
@@ -268,23 +271,6 @@ fn run_child(model: &str, n: usize, algorithm: &str, threads: usize) {
             let wall = start.elapsed().as_secs_f64() * 1e3;
             let cost = piggyback_core::schedule_cost(&g, &rates, &sched);
             (wall, cost, 0, 0, 0, 0.0, 0.0)
-        } else if algorithm == "chitchat-ref" {
-            // The pre-optimization execution profile: serial, eager
-            // recomputation after every selection, exact oracle seeding,
-            // allocating heap-peel oracle, per-probe singleton costs.
-            let start = Instant::now();
-            let res = ChitChat::default().run_reference(&g, &rates);
-            let wall = start.elapsed().as_secs_f64() * 1e3;
-            let cost = piggyback_core::schedule_cost(&g, &rates, &res.schedule);
-            (
-                wall,
-                cost,
-                res.oracle_calls,
-                0,
-                res.hub_selections,
-                0.0,
-                0.0,
-            )
         } else {
             let opt = by_name_with_threads(algorithm, threads).expect("registered scheduler");
             let out = opt.schedule(&inst);
@@ -314,7 +300,6 @@ fn run_child(model: &str, n: usize, algorithm: &str, threads: usize) {
         peak_rss_kb: peak_rss_kb(),
         fanout_busy_ms: busy_ms,
         fanout_capacity_ms: capacity_ms,
-        speedup_vs_ref: None,
     };
     print!("{}", row.to_wire());
 }
@@ -367,6 +352,10 @@ fn main() {
 
     let args = parse_args();
     let mut rows: Vec<Row> = Vec::new();
+    // Gate violations fail the run only after every row ran and the JSON
+    // (which lists them) is written, so a failing sweep still leaves its
+    // evidence behind.
+    let mut gate_failures: Vec<String> = Vec::new();
     let mut worlds: Vec<(&'static str, usize)> =
         args.nodes.iter().map(|&n| ("flickr", n)).collect();
     // One denser Twitter-like instance at the smallest size (its edge count
@@ -375,11 +364,11 @@ fn main() {
 
     for (model, n) in worlds {
         eprintln!("# opt_bench: {model} {n} nodes");
-        let full_matrix = n <= FULL_MATRIX_MAX_NODES;
         let batch = n <= BATCH_MAX_NODES;
-        // Past the full-matrix limit, only the endpoint thread counts run
-        // (the scaling curve's interior adds hours without information).
-        let endpoint_threads: Vec<usize> = {
+        // Past the full-matrix limit, only the endpoint thread counts run.
+        let threads: Vec<usize> = if n <= FULL_MATRIX_MAX_NODES {
+            args.threads.clone()
+        } else {
             let lo = args.threads.iter().copied().min().unwrap_or(1);
             let hi = args.threads.iter().copied().max().unwrap_or(1);
             if lo == hi {
@@ -388,74 +377,48 @@ fn main() {
                 vec![lo, hi]
             }
         };
-        let chitchat_threads = if full_matrix {
-            args.threads.clone()
-        } else {
-            endpoint_threads.clone()
-        };
 
         rows.push(spawn_row(model, n, "hybrid", 1));
 
-        let ref_cost = if full_matrix && batch {
-            let ref_row = spawn_row(model, n, "chitchat-ref", 1);
-            let (wall, cost) = (ref_row.wall_ms, ref_row.cost);
-            rows.push(ref_row);
-            Some((wall, cost))
-        } else {
-            None
-        };
-
         let mut batch_chitchat_cost = None;
         if batch {
-            for &t in &chitchat_threads {
-                let mut row = spawn_row(model, n, "chitchat", t);
-                if let Some((ref_wall, ref_cost)) = ref_cost {
-                    row.speedup_vs_ref = Some(ref_wall / row.wall_ms);
-                    // Same argmin greedy; exact ties between equally-priced
-                    // candidates may break differently, so enforce equality
-                    // to 0.5% (observed deltas are ~1e-5 relative at scale).
-                    assert!(
-                        (row.cost - ref_cost).abs() <= 5e-3 * ref_cost,
-                        "{model}/{n}: optimized chitchat diverged from the reference greedy ({} vs {ref_cost})",
-                        row.cost
-                    );
-                }
+            for &t in &threads {
+                let row = spawn_row(model, n, "chitchat", t);
                 batch_chitchat_cost = Some(row.cost);
                 rows.push(row);
             }
         }
-        for &t in &chitchat_threads {
+        for &t in &threads {
             let row = spawn_row(model, n, "chitchat-stream", t);
             if let Some(cb) = batch_chitchat_cost {
                 // The streaming differential gate: one ordered sweep plus
                 // short refinement must land within 5% of the batch greedy.
-                assert!(
-                    row.cost <= cb * 1.05,
-                    "{model}/{n}: chitchat-stream cost {} more than 5% above batch {cb}",
-                    row.cost
-                );
+                if row.cost > cb * 1.05 {
+                    gate_failures.push(format!(
+                        "{model}/{n} t={t}: chitchat-stream cost {:.2} more than 5% above batch {cb:.2}",
+                        row.cost
+                    ));
+                }
             }
             rows.push(row);
         }
         if batch {
-            let sharded_threads = if full_matrix {
-                args.threads.clone()
-            } else {
-                vec![*endpoint_threads.last().expect("non-empty threads")]
-            };
-            for &t in &sharded_threads {
-                rows.push(spawn_row(model, n, "sharded-chitchat", t));
-            }
-            for &t in &chitchat_threads {
+            for &t in &threads {
                 rows.push(spawn_row(model, n, "parallelnosy", t));
             }
         }
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"opt\",\n  \"smoke\": {},\n  \"rw_ratio\": {},\n  \"seed\": 42,\n  \"results\": [\n{}\n  ]\n}}",
+        "{{\n  \"bench\": \"opt\",\n  \"machine\": {},\n  \"smoke\": {},\n  \"rw_ratio\": {},\n  \"seed\": 42,\n  \"gate_failures\": [{}],\n  \"results\": [\n{}\n  ]\n}}",
+        machine_json(),
         args.smoke,
         REFERENCE_RW_RATIO,
+        gate_failures
+            .iter()
+            .map(|f| format!("\"{f}\""))
+            .collect::<Vec<_>>()
+            .join(", "),
         rows.iter().map(Row::json).collect::<Vec<_>>().join(",\n")
     );
     println!("{json}");
@@ -464,26 +427,7 @@ fn main() {
         eprintln!("# wrote {path}");
     }
 
-    // Headline: best chitchat speedup vs the sequential baseline per world.
-    for (model, n, ref_cost) in rows
-        .iter()
-        .filter(|r| r.algorithm == "chitchat-ref")
-        .map(|r| (r.model.clone(), r.nodes, r.cost))
-        .collect::<Vec<_>>()
-    {
-        let best = rows
-            .iter()
-            .filter(|r| r.model == model && r.nodes == n && r.algorithm == "chitchat")
-            .filter_map(|r| r.speedup_vs_ref.map(|s| (s, r.threads, r.cost)))
-            .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        if let Some((s, t, cost)) = best {
-            eprintln!(
-                "# {model}/{n}: chitchat speedup vs sequential baseline {s:.2}x (t={t}), cost within {:.1e} relative",
-                (cost - ref_cost).abs() / ref_cost
-            );
-        }
-    }
-    // Thread-scaling table per world: optimized chitchat wall by threads.
+    // Thread-scaling table per world: batch chitchat wall by threads.
     let mut seen: Vec<(String, usize)> = Vec::new();
     for r in rows.iter().filter(|r| r.algorithm == "chitchat") {
         let key = (r.model.clone(), r.nodes);
@@ -503,5 +447,11 @@ fn main() {
             series.join(" "),
             r.busy_frac()
         );
+    }
+    if !gate_failures.is_empty() {
+        for f in &gate_failures {
+            eprintln!("# GATE FAILED: {f}");
+        }
+        std::process::exit(1);
     }
 }

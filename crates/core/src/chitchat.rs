@@ -22,8 +22,8 @@
 //! * **Paying for a push `x → w` (or pull `w → y`)** zeroes `g(x)` (`g(y)`)
 //!   *in the hub-graph of `w` only*, which can *raise* `w`'s density. Those
 //!   hubs — exactly one per selection — get their queue entry refreshed:
-//!   recomputed strictly in the reference execution, skipped or
-//!   lower-bounded in the optimized one (see below).
+//!   recomputed strictly after a hub selection, skipped or lower-bounded
+//!   after a singleton (see below).
 //!
 //! The result is the same greedy trajectory as eager recomputation at a
 //! fraction of the oracle calls (the `ablations` bench quantifies it).
@@ -71,15 +71,22 @@
 //! produces the identical schedule, cost, and oracle-call count** (the
 //! `chitchat_parallel` integration test locks this in).
 //!
-//! [`ChitChat::run_reference`] preserves the pre-optimization execution —
-//! serial, eager recomputation after every selection, exact oracle seeding,
-//! allocating heap-peel oracle, per-probe singleton costs — as the baseline
-//! `opt_bench` measures speedups against and a differential-testing oracle.
-//! Both drive the same argmin greedy, but exact ties between equally-priced
-//! candidates can resolve differently (the eager path's refreshed keys
-//! carry last-ulp float noise that the skip-path's older bounds do not), so
-//! their costs agree to tie-breaking noise (~1e-5 relative at scale)
-//! rather than bit-for-bit.
+//! The pre-optimization greedy — exact seeding, eager recomputation after
+//! every selection, the allocating oracle — survives only as the test
+//! oracle in `tests/chitchat_reference.rs`. Exact ties between
+//! equally-priced candidates can resolve differently there (an eagerly
+//! refreshed key carries last-ulp float noise a skipped recompute's older
+//! bound does not), so the two agree to tie-breaking noise, not bit-for-bit.
+//!
+//! # The shared fan-out layer
+//!
+//! Both CHITCHAT executions — this batch greedy and the one-pass sweep of
+//! [`crate::chitchat_stream`] — peel hubs through one layer, which differs
+//! between them only in the oracle function it is handed: `Shared::new`
+//! builds the covering state, `with_fanout` spawns the persistent worker
+//! pool (or none, single-threaded) for the whole run, and
+//! `Fanout::peel_batch` peels a batch against the frozen state, fanned out
+//! when it is large enough and reassembled in batch order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -91,10 +98,9 @@ use piggyback_graph::{CsrGraph, EdgeId, NodeId};
 use piggyback_workload::{EdgeCosts, Rates};
 
 use crate::bitset::BitSet;
-use crate::cost::hybrid_edge_cost;
 use crate::densest::{
-    densest_hub_graph, densest_hub_graph_key_scratch, densest_hub_graph_scratch, HubSelection,
-    OrdF64, PeelScratch, UncoveredDegrees,
+    densest_hub_graph_key_scratch, densest_hub_graph_scratch, HubSelection, OrdF64, PeelScratch,
+    UncoveredDegrees,
 };
 use crate::fanout::{chunk_len, FanoutPool, FanoutTelemetry};
 use crate::schedule::Schedule;
@@ -137,16 +143,15 @@ impl Default for ChitChat {
     }
 }
 
-impl ChitChat {
-    /// Effective worker-thread count (resolves the `0` = auto default).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
+/// Effective worker-thread count of a `threads` setting (resolves the
+/// `0` = one per available core default).
+fn effective_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        threads
     }
 }
 
@@ -259,7 +264,27 @@ pub(crate) struct Shared<'a> {
     pub(crate) cover: RwLock<Cover>,
 }
 
-impl Shared<'_> {
+impl<'a> Shared<'a> {
+    /// The state a run starts from: nothing served, every edge in `Z`.
+    pub(crate) fn new(g: &'a CsrGraph, rates: &'a Rates, cross_cap: usize) -> Self {
+        assert!(
+            rates.len() >= g.node_count(),
+            "rates do not cover the graph"
+        );
+        let m = g.edge_count();
+        Shared {
+            g,
+            rates,
+            cross_cap,
+            cover: RwLock::new(Cover {
+                sched: Schedule::for_graph(g),
+                z: full_bitset(m),
+                z_in: full_bitset(m),
+                zdeg: UncoveredDegrees::full(g),
+            }),
+        }
+    }
+
     /// Applies a hub-graph selection: pushes from all selected producers,
     /// pulls to all selected consumers, cross edges covered through the hub.
     pub(crate) fn apply_hub(&self, sel: &HubSelection) {
@@ -279,13 +304,163 @@ impl Shared<'_> {
             c.uncover(self.g, e, u, v);
         }
     }
+
+    /// Key-only batch oracle call for hub `w`: just the cost-per-element,
+    /// skipping output materialization. This is what strict recomputation
+    /// uses — the full selection is materialized once per accepted hub.
+    fn peel_key(&self, w: NodeId, scratch: &mut PeelScratch) -> Option<f64> {
+        let c = self.cover.read();
+        densest_hub_graph_key_scratch(
+            self.g,
+            self.rates,
+            w,
+            &c.sched,
+            &c.z,
+            &c.zdeg,
+            self.cross_cap,
+            scratch,
+        )
+    }
+
+    /// Peels hub `w` with `oracle` against `c`, a read-locked view of the
+    /// cover.
+    fn peel_in(
+        &self,
+        c: &Cover,
+        oracle: OracleFn,
+        w: NodeId,
+        scratch: &mut PeelScratch,
+    ) -> Option<HubSelection> {
+        oracle(
+            self.g,
+            self.rates,
+            w,
+            &c.sched,
+            &c.z,
+            &c.zdeg,
+            self.cross_cap,
+            scratch,
+        )
+    }
+
+    /// Peels every hub of `hubs` with `oracle` under one read lock.
+    fn peel_all(
+        &self,
+        oracle: OracleFn,
+        hubs: &[NodeId],
+        scratch: &mut PeelScratch,
+    ) -> Vec<(NodeId, Option<HubSelection>)> {
+        let c = self.cover.read();
+        hubs.iter()
+            .map(|&w| (w, self.peel_in(&c, oracle, w, scratch)))
+            .collect()
+    }
 }
 
-/// A chunk of hubs to recompute, and the results keyed by hub. Chunks are
+/// The scratch oracle an execution peels with: full leg prices
+/// ([`densest_hub_graph_scratch`], batch) or marginal ones
+/// ([`crate::densest::densest_hub_graph_marginal_scratch`], streaming).
+pub(crate) type OracleFn = fn(
+    &CsrGraph,
+    &Rates,
+    NodeId,
+    &Schedule,
+    &BitSet,
+    &UncoveredDegrees,
+    usize,
+    &mut PeelScratch,
+) -> Option<HubSelection>;
+
+/// A chunk of hubs to peel, and the results keyed by hub. Chunks are
 /// indexed so reassembly is deterministic regardless of arrival order.
 type OracleJob = (usize, Vec<NodeId>);
 type OracleOut = (usize, Vec<(NodeId, Option<HubSelection>)>);
 type OraclePool = FanoutPool<OracleJob, OracleOut>;
+
+/// The coordinator's end of one run's oracle fan-out: the oracle, the
+/// worker pool (absent when single-threaded), the coordinator's own peel
+/// arena, and the busy-time record of every batch.
+pub(crate) struct Fanout<'p> {
+    oracle: OracleFn,
+    pool: Option<&'p OraclePool>,
+    scratch: PeelScratch,
+    telemetry: FanoutTelemetry,
+}
+
+impl Fanout<'_> {
+    /// One live oracle call for hub `w` on the coordinating thread.
+    pub(crate) fn peel(&mut self, sh: &Shared, w: NodeId) -> Option<HubSelection> {
+        sh.peel_in(&sh.cover.read(), self.oracle, w, &mut self.scratch)
+    }
+
+    /// Peels every hub in `batch` against the frozen cover — through the
+    /// pool when the batch is worth dispatching, inline otherwise. Purely
+    /// functional over the frozen state, so the fan-out may split the
+    /// batch arbitrarily; results come back in batch order.
+    pub(crate) fn peel_batch(
+        &mut self,
+        sh: &Shared,
+        batch: &[NodeId],
+    ) -> Vec<(NodeId, Option<HubSelection>)> {
+        match self.pool {
+            Some(pool) if batch.len() >= PAR_THRESHOLD => {
+                let chunk = chunk_len(batch.len(), pool.workers());
+                let mut parts = pool.run_recorded(
+                    batch
+                        .chunks(chunk)
+                        .enumerate()
+                        .map(|(i, c)| (i, c.to_vec())),
+                    &mut self.telemetry,
+                );
+                parts.sort_unstable_by_key(|&(i, _)| i);
+                parts.into_iter().flat_map(|(_, r)| r).collect()
+            }
+            _ => {
+                let start = Instant::now();
+                let out = sh.peel_all(self.oracle, batch, &mut self.scratch);
+                self.telemetry
+                    .record_inline(start.elapsed().as_nanos() as u64);
+                out
+            }
+        }
+    }
+}
+
+/// Runs `drive` over the oracle fan-out both CHITCHAT executions share and
+/// returns its result with the fan-out telemetry. With more than one
+/// worker thread (and edges to cover) the whole drive runs inside one
+/// scope: workers are spawned once, each peeling with `oracle` into its
+/// own warm [`PeelScratch`], park on the job channel, and survive every
+/// batch of the run.
+pub(crate) fn with_fanout<T>(
+    sh: &Shared,
+    threads: usize,
+    oracle: OracleFn,
+    drive: impl FnOnce(&mut Fanout) -> T,
+) -> (T, FanoutTelemetry) {
+    let run = |pool: Option<&OraclePool>| {
+        let mut fan = Fanout {
+            oracle,
+            pool,
+            scratch: PeelScratch::new(),
+            telemetry: FanoutTelemetry::default(),
+        };
+        let out = drive(&mut fan);
+        (out, fan.telemetry)
+    };
+    let nt = effective_threads(threads);
+    if nt <= 1 || sh.g.edge_count() == 0 {
+        return run(None);
+    }
+    crossbeam::scope(|s| {
+        let pool: OraclePool = FanoutPool::new(s, nt, |_| {
+            let mut scratch = PeelScratch::new();
+            move |(idx, hubs): OracleJob| (idx, sh.peel_all(oracle, &hubs, &mut scratch))
+        });
+        run(Some(&pool))
+    })
+    .expect("crossbeam scope failed")
+}
 
 /// Coordinator-private search state: the priority queue and its
 /// bookkeeping. Only the coordinating thread touches this.
@@ -307,57 +482,19 @@ struct Search {
     /// hub; the accepted hub's selection is taken from here, so an accept
     /// costs no extra oracle call.
     cache: FxHashMap<NodeId, HubSelection>,
-    scratch: PeelScratch,
     oracle_calls: usize,
-    threads: usize,
-    /// Use the allocating reference oracle instead of the scratch path
-    /// (the two produce identical selections; see [`crate::densest`]).
-    reference: bool,
-    telemetry: FanoutTelemetry,
 }
 
 impl Search {
-    /// One full oracle call for hub `w` against the current state, through
-    /// whichever implementation this run is configured for.
-    fn oracle(&mut self, sh: &Shared, w: NodeId) -> Option<HubSelection> {
-        let c = sh.cover.read();
-        if self.reference {
-            densest_hub_graph(sh.g, sh.rates, w, &c.sched, &c.z, sh.cross_cap)
-        } else {
-            densest_hub_graph_scratch(
-                sh.g,
-                sh.rates,
-                w,
-                &c.sched,
-                &c.z,
-                &c.zdeg,
-                sh.cross_cap,
-                &mut self.scratch,
-            )
-        }
-    }
-
-    /// Key-only oracle call: just the cost-per-element, skipping output
-    /// materialization on the scratch path. This is what all queue
-    /// maintenance uses — the full selection is materialized once per
-    /// accepted hub. (The reference path materializes and discards, which
-    /// is exactly what the pre-optimization implementation did.)
-    fn oracle_key(&mut self, sh: &Shared, w: NodeId) -> Option<f64> {
-        let c = sh.cover.read();
-        if self.reference {
-            densest_hub_graph(sh.g, sh.rates, w, &c.sched, &c.z, sh.cross_cap)
-                .map(|sel| sel.cost_per_element())
-        } else {
-            densest_hub_graph_key_scratch(
-                sh.g,
-                sh.rates,
-                w,
-                &c.sched,
-                &c.z,
-                &c.zdeg,
-                sh.cross_cap,
-                &mut self.scratch,
-            )
+    fn new(n: usize) -> Self {
+        Search {
+            stamp: vec![0; n],
+            heap: BinaryHeap::new(),
+            current_key: vec![f64::INFINITY; n],
+            verified: vec![u32::MAX; n],
+            round: 0,
+            cache: FxHashMap::default(),
+            oracle_calls: 0,
         }
     }
 
@@ -370,12 +507,12 @@ impl Search {
     /// if `w` ever surfaces. Hubs far above the singleton threshold —
     /// exactly the popular ones whose recomputation is expensive — absorb
     /// many zeroings per eventual call.
-    fn lower_bound_after_zeroing(&mut self, sh: &Shared, w: NodeId, delta: f64) {
+    fn lower_bound_after_zeroing(&mut self, sh: &Shared, fan: &mut Fanout, w: NodeId, delta: f64) {
         let ck = self.current_key[w as usize];
         if !ck.is_finite() {
             // No live entry means no countable edges (and a non-inert
             // zeroing implies there are some) — recompute defensively.
-            self.strict_recompute(sh, w);
+            self.strict_recompute(sh, fan, w);
             return;
         }
         if delta <= 0.0 {
@@ -389,10 +526,10 @@ impl Search {
     }
 
     /// Recomputes hub `w` strictly, invalidating any queued entry.
-    fn strict_recompute(&mut self, sh: &Shared, w: NodeId) {
+    fn strict_recompute(&mut self, sh: &Shared, fan: &mut Fanout, w: NodeId) {
         self.stamp[w as usize] += 1;
         self.oracle_calls += 1;
-        match self.oracle_key(sh, w) {
+        match sh.peel_key(w, &mut fan.scratch) {
             Some(key) => {
                 self.current_key[w as usize] = key;
                 self.heap
@@ -416,12 +553,11 @@ impl Search {
     /// The accepted hub is therefore the argmin of `(true cost-per-element,
     /// node id)` over all live candidates: every entry whose optimistic key
     /// is at or below the winning value gets verified before the accept, so
-    /// the result does not depend on batch boundaries, thread count, or
-    /// which oracle implementation produced the keys.
+    /// the result does not depend on batch boundaries or thread count.
     fn select_hub(
         &mut self,
         sh: &Shared,
-        pool: Option<&OraclePool>,
+        fan: &mut Fanout,
         single_cpe: f64,
     ) -> Option<HubSelection> {
         self.round += 1;
@@ -464,8 +600,7 @@ impl Search {
                 return None;
             }
             self.oracle_calls += batch.len();
-            let results = self.recompute_batch(sh, pool, &batch);
-            for (w, sel) in results {
+            for (w, sel) in fan.peel_batch(sh, &batch) {
                 let Some(sel) = sel else {
                     self.current_key[w as usize] = f64::INFINITY;
                     continue;
@@ -481,64 +616,17 @@ impl Search {
         }
     }
 
-    /// Recomputes every hub in `batch` against the frozen state. Purely
-    /// functional, so the fan-out is free to split the batch arbitrarily;
-    /// results come back keyed by hub, reassembled in chunk order.
-    fn recompute_batch(
-        &mut self,
-        sh: &Shared,
-        pool: Option<&OraclePool>,
-        batch: &[NodeId],
-    ) -> Vec<(NodeId, Option<HubSelection>)> {
-        match pool {
-            Some(pool) if batch.len() >= PAR_THRESHOLD => {
-                let chunk = chunk_len(batch.len(), pool.workers());
-                let mut parts = pool.run_recorded(
-                    batch
-                        .chunks(chunk)
-                        .enumerate()
-                        .map(|(i, c)| (i, c.to_vec())),
-                    &mut self.telemetry,
-                );
-                parts.sort_unstable_by_key(|&(i, _)| i);
-                parts.into_iter().flat_map(|(_, r)| r).collect()
-            }
-            _ => {
-                let start = Instant::now();
-                let out = batch.iter().map(|&w| (w, self.oracle(sh, w))).collect();
-                if !self.reference {
-                    self.telemetry
-                        .record_inline(start.elapsed().as_nanos() as u64);
-                }
-                out
-            }
-        }
-    }
-
-    /// Seeds the priority queue. The reference execution performs the
-    /// pre-optimization pass — one exact oracle call per node. The
-    /// optimized path seeds *sound lower bounds* computed in closed form:
-    /// at seed time no leg is paid and `Z` is full, so for any candidate
-    /// subgraph with `s ≤ |X|` producers and `t ≤ |Y|` consumers,
+    /// Seeds the priority queue with *sound lower bounds* computed in
+    /// closed form: at seed time no leg is paid and `Z` is full, so for any
+    /// candidate subgraph with `s ≤ |X|` producers and `t ≤ |Y|` consumers,
     /// `weight ≥ s·min rp + t·min rc` and
     /// `elements ≤ s + t + min(cross_cap, Σ_x (deg(x)−1))`; the ratio is
     /// monotone in `s` and `t` for fixed cap, so its minimum over the box
     /// is attained at a corner. Each hub's exact key is then paid lazily
     /// (and in parallel) only if its bound ever surfaces below the
-    /// singleton threshold — the up-front `n`-peel sweep disappears.
+    /// singleton threshold — no up-front `n`-peel sweep.
     fn seed(&mut self, sh: &Shared) {
-        let n = sh.g.node_count();
-        if self.reference {
-            self.oracle_calls += n;
-            for w in 0..n as NodeId {
-                if let Some(key) = self.oracle_key(sh, w) {
-                    self.current_key[w as usize] = key;
-                    self.heap.push(Reverse((OrdF64(key), w, 0)));
-                }
-            }
-            return;
-        }
-        for w in 0..n as NodeId {
+        for w in 0..sh.g.node_count() as NodeId {
             if let Some(key) = seed_lower_bound(sh.g, sh.rates, w, sh.cross_cap) {
                 self.current_key[w as usize] = key;
                 self.heap.push(Reverse((OrdF64(key), w, 0)));
@@ -593,7 +681,7 @@ pub(crate) fn seed_lower_bound(
 }
 
 /// All-ones bitset of the given capacity.
-pub(crate) fn full_bitset(m: usize) -> BitSet {
+fn full_bitset(m: usize) -> BitSet {
     let mut b = BitSet::new(m);
     for k in 0..m as u32 {
         b.insert(k);
@@ -601,20 +689,18 @@ pub(crate) fn full_bitset(m: usize) -> BitSet {
     b
 }
 
-/// The greedy SETCOVER loop shared by both executions; `pool` is `Some`
-/// only for the optimized multi-threaded path.
-fn drive(
-    sh: &Shared,
-    search: &mut Search,
-    pool: Option<&OraclePool>,
-    single_cost: &impl Fn(EdgeId) -> f64,
-) -> (usize, usize) {
+/// The greedy SETCOVER loop: each step takes the cheaper of the best hub
+/// candidate and the cheapest uncovered singleton.
+fn drive(sh: &Shared, search: &mut Search, fan: &mut Fanout) -> (usize, usize) {
     search.seed(sh);
 
-    // Singleton candidates, cheapest hybrid cost first.
+    // Singleton candidates, cheapest hybrid cost first. Costs are
+    // precomputed per edge: the loop pays one array load per probe instead
+    // of an endpoint recovery plus two rate lookups.
+    let costs = EdgeCosts::hybrid(sh.g, sh.rates);
     let m = sh.g.edge_count();
     let mut singles: Vec<EdgeId> = (0..m as EdgeId).collect();
-    singles.sort_unstable_by_key(|&e| OrdF64(single_cost(e)));
+    singles.sort_unstable_by_key(|&e| OrdF64(costs.hybrid_cost(e)));
     let mut single_ptr = 0usize;
 
     let mut hub_selections = 0usize;
@@ -630,55 +716,51 @@ fn drive(
                 single_ptr += 1;
             }
             if single_ptr < singles.len() {
-                single_cost(singles[single_ptr])
+                costs.hybrid_cost(singles[single_ptr])
             } else {
                 f64::INFINITY
             }
         };
 
-        match search.select_hub(sh, pool, single_cpe) {
+        match search.select_hub(sh, fan, single_cpe) {
             Some(sel) => {
                 sh.apply_hub(&sel);
                 hub_selections += 1;
                 // Paying the legs zeroed weights in this hub's graph
                 // only — the single strict recomputation needed.
-                search.strict_recompute(sh, sel.hub);
+                search.strict_recompute(sh, fan, sel.hub);
             }
             None => {
                 let e = singles[single_ptr];
                 let (u, v) = sh.g.edge_endpoints(e);
                 let push = sh.rates.rp(u) <= sh.rates.rc(v);
-                // The reference keeps the pre-optimization call pattern
-                // (recompute unconditionally); the fast path first tries
-                // to prove the zeroing invisible. When the proof fires,
-                // later greedy steps see a still-valid lower bound instead
-                // of a refreshed exact key — the selections stay
-                // argmin-optimal, and only exact ties between
-                // equally-priced candidates can resolve differently (see
-                // `matches_reference_implementation`).
+                // Before paying for a recompute, try to prove the zeroing
+                // invisible. When the proof fires, later greedy steps see a
+                // still-valid lower bound instead of a refreshed exact key
+                // — the selections stay argmin-optimal, and only exact ties
+                // between equally-priced candidates can resolve differently
+                // from an eager recompute (see `tests/chitchat_reference.rs`).
                 let inert = {
                     let mut c = sh.cover.write();
                     c.uncover(sh.g, e, u, v);
                     if push {
                         c.sched.set_push(e);
-                        !search.reference && c.push_zeroing_is_inert(sh.g, u, v)
+                        c.push_zeroing_is_inert(sh.g, u, v)
                     } else {
                         c.sched.set_pull(e);
-                        !search.reference && c.pull_zeroing_is_inert(sh.g, u, v)
+                        c.pull_zeroing_is_inert(sh.g, u, v)
                     }
                 };
                 singleton_selections += 1;
-                // Paying the edge zeroed g(u) in v's hub-graph (push) or
-                // g(v) in u's (pull).
-                let (hub, delta) = if push {
-                    (v, sh.rates.rp(u))
-                } else {
-                    (u, sh.rates.rc(v))
-                };
-                if search.reference {
-                    search.strict_recompute(sh, hub);
-                } else if !inert {
-                    search.lower_bound_after_zeroing(sh, hub, delta);
+                if !inert {
+                    // Paying the edge zeroed g(u) in v's hub-graph (push)
+                    // or g(v) in u's (pull).
+                    let (hub, delta) = if push {
+                        (v, sh.rates.rp(u))
+                    } else {
+                        (u, sh.rates.rc(v))
+                    };
+                    search.lower_bound_after_zeroing(sh, fan, hub, delta);
                 }
             }
         }
@@ -688,127 +770,24 @@ fn drive(
 }
 
 impl ChitChat {
-    fn fresh_state<'a>(
-        &self,
-        g: &'a CsrGraph,
-        rates: &'a Rates,
-        reference: bool,
-    ) -> (Shared<'a>, Search) {
-        assert!(
-            rates.len() >= g.node_count(),
-            "rates do not cover the graph"
-        );
-        let m = g.edge_count();
-        let n = g.node_count();
-        let shared = Shared {
-            g,
-            rates,
-            cross_cap: self.cross_cap,
-            cover: RwLock::new(Cover {
-                sched: Schedule::for_graph(g),
-                z: full_bitset(m),
-                z_in: full_bitset(m),
-                zdeg: UncoveredDegrees::full(g),
-            }),
-        };
-        let search = Search {
-            current_key: vec![f64::INFINITY; n],
-            stamp: vec![0; n],
-            heap: BinaryHeap::new(),
-            verified: vec![u32::MAX; n],
-            round: 0,
-            cache: FxHashMap::default(),
-            scratch: PeelScratch::new(),
-            oracle_calls: 0,
-            threads: self.effective_threads(),
-            reference,
-            telemetry: FanoutTelemetry::default(),
-        };
-        (shared, search)
-    }
-
     /// Runs CHITCHAT on `g` under the workload `rates` and returns a
     /// feasible schedule.
     ///
     /// Deterministic for any [`ChitChat::threads`] value: the fan-out only
     /// divides pure oracle work, never the greedy's decision order.
     pub fn run(&self, g: &CsrGraph, rates: &Rates) -> ChitChatResult {
-        // Singleton costs precomputed per edge: the set-cover loop pays one
-        // array load per probe instead of an endpoint recovery plus two
-        // rate lookups.
-        let costs = EdgeCosts::hybrid(g, rates);
-        self.run_impl(g, rates, false, |e| costs.hybrid_cost(e))
-    }
-
-    /// The pre-optimization execution: serial exact seeding and
-    /// re-validation, allocating `BinaryHeap` oracle, per-probe singleton
-    /// costs.
-    ///
-    /// Kept as (a) the baseline `opt_bench` measures the optimized path
-    /// against and (b) a differential-testing oracle — `run` drives the
-    /// identical greedy, so the two must agree *exactly* (schedule,
-    /// selection counts, oracle calls); the regression tests compare them
-    /// on every graph family.
-    pub fn run_reference(&self, g: &CsrGraph, rates: &Rates) -> ChitChatResult {
-        self.run_impl(g, rates, true, |e| {
-            let (u, v) = g.edge_endpoints(e);
-            hybrid_edge_cost(rates, u, v)
-        })
-    }
-
-    fn run_impl(
-        &self,
-        g: &CsrGraph,
-        rates: &Rates,
-        reference: bool,
-        single_cost: impl Fn(EdgeId) -> f64,
-    ) -> ChitChatResult {
-        let (shared, mut search) = self.fresh_state(g, rates, reference);
-        let nt = search.threads;
-        let (hub_selections, singleton_selections) = if !reference && nt > 1 && g.edge_count() > 0 {
-            // The whole greedy runs inside one scope: workers are spawned
-            // once, park on the job channel, and survive every
-            // re-validation batch of the run.
-            crossbeam::scope(|s| {
-                let sh = &shared;
-                let pool: OraclePool = FanoutPool::new(s, nt, |_| {
-                    let mut scratch = PeelScratch::new();
-                    move |(idx, hubs): OracleJob| {
-                        let c = sh.cover.read();
-                        let out = hubs
-                            .iter()
-                            .map(|&w| {
-                                (
-                                    w,
-                                    densest_hub_graph_scratch(
-                                        sh.g,
-                                        sh.rates,
-                                        w,
-                                        &c.sched,
-                                        &c.z,
-                                        &c.zdeg,
-                                        sh.cross_cap,
-                                        &mut scratch,
-                                    ),
-                                )
-                            })
-                            .collect();
-                        (idx, out)
-                    }
-                });
-                drive(sh, &mut search, Some(&pool), &single_cost)
-            })
-            .expect("crossbeam scope failed")
-        } else {
-            drive(&shared, &mut search, None, &single_cost)
-        };
-
+        let shared = Shared::new(g, rates, self.cross_cap);
+        let mut search = Search::new(g.node_count());
+        let ((hub_selections, singleton_selections), telemetry) =
+            with_fanout(&shared, self.threads, densest_hub_graph_scratch, |fan| {
+                drive(&shared, &mut search, fan)
+            });
         ChitChatResult {
             schedule: shared.cover.into_inner().sched,
             hub_selections,
             singleton_selections,
             oracle_calls: search.oracle_calls,
-            telemetry: search.telemetry,
+            telemetry,
         }
     }
 }
@@ -973,10 +952,11 @@ mod tests {
             },
         ] {
             let cc = ChitChat::default();
-            let (shared, mut search) = cc.fresh_state(&g, &r, false);
+            let shared = Shared::new(&g, &r, cc.cross_cap);
+            let mut scratch = PeelScratch::new();
             for w in g.nodes() {
                 let bound = seed_lower_bound(&g, &r, w, cc.cross_cap);
-                let exact = search.oracle_key(&shared, w);
+                let exact = shared.peel_key(w, &mut scratch);
                 match (bound, exact) {
                     (Some(b), Some(k)) => {
                         assert!(b <= k + 1e-9, "hub {w}: bound {b} above exact key {k}")
@@ -985,52 +965,6 @@ mod tests {
                     _ => {}
                 }
             }
-        }
-    }
-
-    #[test]
-    fn matches_reference_implementation() {
-        // The optimized path must reproduce the pre-optimization greedy:
-        // same cost, same selection counts, on every graph family.
-        let worlds: Vec<(CsrGraph, Rates)> = vec![
-            fig2(),
-            {
-                let g = erdos_renyi(80, 400, 11);
-                let r = Rates::log_degree(&g, 5.0);
-                (g, r)
-            },
-            {
-                let g = copying(CopyingConfig {
-                    nodes: 300,
-                    follows_per_node: 6,
-                    copy_prob: 0.9,
-                    seed: 6,
-                });
-                let r = Rates::log_degree(&g, 5.0);
-                (g, r)
-            },
-        ];
-        for (i, (g, r)) in worlds.iter().enumerate() {
-            let fast = ChitChat::default().run(g, r);
-            let reference = ChitChat::default().run_reference(g, r);
-            let cf = schedule_cost(g, r, &fast.schedule);
-            let cr = schedule_cost(g, r, &reference.schedule);
-            // Both drive the same argmin greedy; the fast path's skipped
-            // (provably inert) recomputations can leave exact ties between
-            // equally-priced candidates to resolve by node id instead of
-            // by refresh order, so costs agree to tie-breaking noise, not
-            // bit-for-bit.
-            assert!(
-                (cf - cr).abs() <= 1e-2 * cr.max(1.0),
-                "world {i}: fast cost {cf} vs reference cost {cr}"
-            );
-            // Bound seeding and the inert-skip only ever *save* calls.
-            assert!(
-                fast.oracle_calls <= reference.oracle_calls,
-                "world {i}: fast made more oracle calls ({} > {})",
-                fast.oracle_calls,
-                reference.oracle_calls
-            );
         }
     }
 }

@@ -8,7 +8,7 @@
 //! trades that per-step exactness for a single ordered sweep:
 //!
 //! 1. **Streaming priority.** Every hub's closed-form density lower bound
-//!    ([`seed_lower_bound`], PR 6's seeding bound) is computed in one CSR
+//!    ([`seed_lower_bound`], the batch seed bound) is computed in one CSR
 //!    pass — `O(deg)` per hub, no peels. The bound is *permanently* valid
 //!    for any hub whose legs are never paid (covering only shrinks `Z`,
 //!    raising every candidate's cost-per-element, and a leg `x → w` is
@@ -45,8 +45,8 @@
 //!    of bounded capacity and re-evaluated in short refinement passes; a
 //!    pass that admits nothing ends the run (the state is a fixed point).
 //! 4. **Deterministic parallel evaluation.** Hubs are peeled in fixed-size
-//!    batches against a frozen [`Cover`] through the same persistent
-//!    [`FanoutPool`] as the batch path, reassembled in chunk order. A
+//!    batches against a frozen cover through the fan-out layer the batch
+//!    path uses (`chitchat::with_fanout`), reassembled in batch order. A
 //!    frozen result is only trusted if no admission since the freeze
 //!    touched the hub's closed neighborhood (admissions mark `{w} ∪ X ∪
 //!    Y`; every mutated edge has both endpoints marked, and a hub's oracle
@@ -64,17 +64,12 @@
 //! wall ratio, and the differential suite (`chitchat_stream_differential`)
 //! pins the cost within 5% of batch CHITCHAT on the benchmark families.
 
-use std::time::Instant;
-
-use parking_lot::RwLock;
 use piggyback_graph::{CsrGraph, NodeId};
 use piggyback_workload::{EdgeCosts, Rates};
 
-use crate::chitchat::{full_bitset, seed_lower_bound, Cover, Shared};
-use crate::densest::{
-    densest_hub_graph_marginal_scratch, HubSelection, OrdF64, PeelScratch, UncoveredDegrees,
-};
-use crate::fanout::{chunk_len, FanoutPool, FanoutTelemetry};
+use crate::chitchat::{seed_lower_bound, with_fanout, Fanout, Shared};
+use crate::densest::{densest_hub_graph_marginal_scratch, HubSelection, OrdF64};
+use crate::fanout::FanoutTelemetry;
 use crate::schedule::Schedule;
 
 /// Hubs evaluated per frozen fan-out batch. A **constant** — deliberately
@@ -83,9 +78,15 @@ use crate::schedule::Schedule;
 /// budget.
 const STREAM_BATCH: usize = 256;
 
-/// Minimum batch size worth dispatching to the worker pool (same bar as
-/// the batch path: a dispatch is two channel operations per chunk).
-const PAR_THRESHOLD: usize = 4;
+/// Refinement passes over the revisit buffer after the main sweep. Each
+/// pass re-peels only buffered near-misses; a pass that admits nothing
+/// terminates the run early.
+const REFINE_PASSES: usize = 2;
+
+/// Capacity of the revisit buffer. Rejected candidates beyond it are
+/// evicted worst-ratio-first (counted in
+/// [`ChitChatStreamResult::revisit_evictions`]).
+const REVISIT_CAP: usize = 1 << 16;
 
 /// Configuration for the streaming CHITCHAT execution.
 #[derive(Clone, Copy, Debug)]
@@ -96,14 +97,6 @@ pub struct ChitChatStream {
     /// core. The schedule is identical for every value — threads only
     /// change wall time.
     pub threads: usize,
-    /// Refinement passes over the revisit buffer after the main sweep.
-    /// Each pass re-peels only buffered near-misses; a pass that admits
-    /// nothing terminates the run early.
-    pub refine_passes: usize,
-    /// Capacity of the revisit buffer. Rejected candidates beyond it are
-    /// evicted worst-ratio-first (counted in
-    /// [`ChitChatStreamResult::revisit_evictions`]).
-    pub revisit_cap: usize,
 }
 
 impl Default for ChitChatStream {
@@ -111,8 +104,6 @@ impl Default for ChitChatStream {
         ChitChatStream {
             cross_cap: 100_000,
             threads: 0,
-            refine_passes: 2,
-            revisit_cap: 1 << 16,
         }
     }
 }
@@ -137,84 +128,27 @@ pub struct ChitChatStreamResult {
 }
 
 impl ChitChatStream {
-    /// Effective worker-thread count (resolves the `0` = auto default).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
-    }
-
     /// Runs streaming CHITCHAT on `g` under the workload `rates` and
     /// returns a feasible schedule costing no more than the hybrid
     /// baseline.
     ///
     /// Deterministic for any [`ChitChatStream::threads`] value.
     pub fn run(&self, g: &CsrGraph, rates: &Rates) -> ChitChatStreamResult {
-        assert!(
-            rates.len() >= g.node_count(),
-            "rates do not cover the graph"
-        );
+        let shared = Shared::new(g, rates, self.cross_cap);
         let costs = EdgeCosts::hybrid(g, rates);
-        let m = g.edge_count();
-        let shared = Shared {
-            g,
-            rates,
-            cross_cap: self.cross_cap,
-            cover: RwLock::new(Cover {
-                sched: Schedule::for_graph(g),
-                z: full_bitset(m),
-                z_in: full_bitset(m),
-                zdeg: UncoveredDegrees::full(g),
-            }),
-        };
-        let nt = self.effective_threads();
         let mut sweep = Sweep {
-            scratch: PeelScratch::new(),
             touched: EpochSet::new(g.node_count()),
             oracle_calls: 0,
             hubs_admitted: 0,
             passes: 0,
             revisit_evictions: 0,
-            telemetry: FanoutTelemetry::default(),
         };
-        if nt > 1 && m > 0 {
-            crossbeam::scope(|s| {
-                let sh = &shared;
-                let pool: StreamPool = FanoutPool::new(s, nt, |_| {
-                    let mut scratch = PeelScratch::new();
-                    move |(idx, hubs): StreamJob| {
-                        let c = sh.cover.read();
-                        let out = hubs
-                            .iter()
-                            .map(|&w| {
-                                (
-                                    w,
-                                    densest_hub_graph_marginal_scratch(
-                                        sh.g,
-                                        sh.rates,
-                                        w,
-                                        &c.sched,
-                                        &c.z,
-                                        &c.zdeg,
-                                        sh.cross_cap,
-                                        &mut scratch,
-                                    ),
-                                )
-                            })
-                            .collect();
-                        (idx, out)
-                    }
-                });
-                self.drive(sh, Some(&pool), &costs, &mut sweep);
-            })
-            .expect("crossbeam scope failed");
-        } else {
-            self.drive(&shared, None, &costs, &mut sweep);
-        }
+        let ((), telemetry) = with_fanout(
+            &shared,
+            self.threads,
+            densest_hub_graph_marginal_scratch,
+            |fan| sweep.drive(&shared, fan, &costs),
+        );
 
         // Leftover sweep: every still-uncovered edge takes its hybrid
         // assignment, in CSR order — the batch greedy's singleton tail
@@ -222,7 +156,7 @@ impl ChitChatStream {
         let mut singleton_selections = 0usize;
         {
             let mut c = shared.cover.write();
-            for e in 0..m as piggyback_graph::EdgeId {
+            for e in 0..g.edge_count() as piggyback_graph::EdgeId {
                 if !c.z.contains(e) {
                     continue;
                 }
@@ -244,13 +178,24 @@ impl ChitChatStream {
             oracle_calls: sweep.oracle_calls,
             passes: sweep.passes,
             revisit_evictions: sweep.revisit_evictions,
-            telemetry: sweep.telemetry,
+            telemetry,
         }
     }
+}
 
+/// Coordinator-private sweep state.
+struct Sweep {
+    touched: EpochSet,
+    oracle_calls: usize,
+    hubs_admitted: usize,
+    passes: usize,
+    revisit_evictions: usize,
+}
+
+impl Sweep {
     /// The ordered sweep plus refinement passes. Coordinator-only except
     /// for the pooled frozen-state peels.
-    fn drive(&self, sh: &Shared, pool: Option<&StreamPool>, costs: &EdgeCosts, sweep: &mut Sweep) {
+    fn drive(&mut self, sh: &Shared, fan: &mut Fanout, costs: &EdgeCosts) {
         let g = sh.g;
         if g.edge_count() == 0 {
             return;
@@ -277,9 +222,9 @@ impl ChitChatStream {
         // the closed-form bound alone.
         let mut bound = vec![f64::INFINITY; n];
         let mut order: Vec<(OrdF64, NodeId)> = Vec::new();
-        for batch in survivors.chunks(STREAM_BATCH.max(1)) {
-            sweep.oracle_calls += batch.len();
-            for (w, sel) in eval_batch(sh, pool, batch, sweep) {
+        for batch in survivors.chunks(STREAM_BATCH) {
+            self.oracle_calls += batch.len();
+            for (w, sel) in fan.peel_batch(sh, batch) {
                 if let Some(s) = sel {
                     let d = s.cost_per_element();
                     bound[w as usize] = d;
@@ -290,25 +235,25 @@ impl ChitChatStream {
         order.sort_unstable();
         let mut list: Vec<NodeId> = order.into_iter().map(|(_, w)| w).collect();
 
-        for _pass in 0..=self.refine_passes {
+        for _pass in 0..=REFINE_PASSES {
             if list.is_empty() {
                 break;
             }
-            sweep.passes += 1;
-            let admitted_before = sweep.hubs_admitted;
+            self.passes += 1;
+            let admitted_before = self.hubs_admitted;
             let mut rejected: Vec<(OrdF64, NodeId)> = Vec::new();
-            self.run_pass(sh, pool, costs, sweep, &list, &mut rejected);
-            if sweep.hubs_admitted == admitted_before {
+            self.run_pass(sh, fan, costs, &list, &mut rejected);
+            if self.hubs_admitted == admitted_before {
                 // Fixed point: no admission means no state change, so the
                 // next pass would reproduce every rejection verbatim.
                 break;
             }
             // Bound the revisit buffer: keep the nearest misses (lowest
             // weight-to-threshold ratio), then restore streaming order.
-            if rejected.len() > self.revisit_cap {
+            if rejected.len() > REVISIT_CAP {
                 rejected.sort_unstable();
-                sweep.revisit_evictions += rejected.len() - self.revisit_cap;
-                rejected.truncate(self.revisit_cap);
+                self.revisit_evictions += rejected.len() - REVISIT_CAP;
+                rejected.truncate(REVISIT_CAP);
             }
             list = rejected.into_iter().map(|(_, w)| w).collect();
             list.sort_unstable_by_key(|&w| (OrdF64(bound[w as usize]), w));
@@ -318,38 +263,37 @@ impl ChitChatStream {
     /// One pass over `list`: batched frozen peels, sequential in-order
     /// admission with dirty re-peels, immediate draining of admitted hubs.
     fn run_pass(
-        &self,
+        &mut self,
         sh: &Shared,
-        pool: Option<&StreamPool>,
+        fan: &mut Fanout,
         costs: &EdgeCosts,
-        sweep: &mut Sweep,
         list: &[NodeId],
         rejected: &mut Vec<(OrdF64, NodeId)>,
     ) {
         for batch in list.chunks(STREAM_BATCH) {
-            sweep.oracle_calls += batch.len();
-            let results = eval_batch(sh, pool, batch, sweep);
-            sweep.touched.clear();
+            self.oracle_calls += batch.len();
+            let results = fan.peel_batch(sh, batch);
+            self.touched.clear();
             for (w, frozen) in results {
                 // The frozen peel is exact unless an admission since the
                 // freeze touched `{w} ∪ N(w)`; then re-peel live.
-                let mut sel = if sweep.touched.closed_neighborhood_clean(sh.g, w) {
+                let mut sel = if self.touched.closed_neighborhood_clean(sh.g, w) {
                     frozen
                 } else {
-                    sweep.oracle_calls += 1;
-                    oracle(sh, w, &mut sweep.scratch)
+                    self.oracle_calls += 1;
+                    fan.peel(sh, w)
                 };
                 while let Some(s) = sel.take() {
                     let threshold = displaced_cost(costs, &s);
                     if s.weight < threshold {
                         sh.apply_hub(&s);
-                        sweep.hubs_admitted += 1;
-                        sweep.touched.mark_selection(&s);
+                        self.hubs_admitted += 1;
+                        self.touched.mark_selection(&s);
                         // Drain: the paid legs zero weights in this hub's
                         // graph only, so the next selection may be cheaper
                         // still — keep selecting while admissible.
-                        sweep.oracle_calls += 1;
-                        sel = oracle(sh, w, &mut sweep.scratch);
+                        self.oracle_calls += 1;
+                        sel = fan.peel(sh, w);
                     } else {
                         let ratio = if threshold > 0.0 {
                             s.weight / threshold
@@ -362,74 +306,6 @@ impl ChitChatStream {
             }
         }
     }
-}
-
-/// A chunk of hubs to peel against the frozen cover, and the selections
-/// keyed by hub; chunks are indexed so reassembly is deterministic.
-type StreamJob = (usize, Vec<NodeId>);
-type StreamOut = (usize, Vec<(NodeId, Option<HubSelection>)>);
-type StreamPool<'s> = FanoutPool<StreamJob, StreamOut>;
-
-/// Coordinator-private sweep state.
-struct Sweep {
-    scratch: PeelScratch,
-    touched: EpochSet,
-    oracle_calls: usize,
-    hubs_admitted: usize,
-    passes: usize,
-    revisit_evictions: usize,
-    telemetry: FanoutTelemetry,
-}
-
-/// Peels every hub of `batch` against the frozen cover — through the pool
-/// when the batch is worth dispatching, inline otherwise. Purely
-/// functional over the frozen state; results reassemble in chunk order.
-fn eval_batch(
-    sh: &Shared,
-    pool: Option<&StreamPool>,
-    batch: &[NodeId],
-    sweep: &mut Sweep,
-) -> Vec<(NodeId, Option<HubSelection>)> {
-    match pool {
-        Some(pool) if batch.len() >= PAR_THRESHOLD => {
-            let chunk = chunk_len(batch.len(), pool.workers());
-            let mut parts = pool.run_recorded(
-                batch
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(i, c)| (i, c.to_vec())),
-                &mut sweep.telemetry,
-            );
-            parts.sort_unstable_by_key(|&(i, _)| i);
-            parts.into_iter().flat_map(|(_, r)| r).collect()
-        }
-        _ => {
-            let start = Instant::now();
-            let out = batch
-                .iter()
-                .map(|&w| (w, oracle(sh, w, &mut sweep.scratch)))
-                .collect();
-            sweep
-                .telemetry
-                .record_inline(start.elapsed().as_nanos() as u64);
-            out
-        }
-    }
-}
-
-/// One live oracle call for hub `w` (takes the cover read lock).
-fn oracle(sh: &Shared, w: NodeId, scratch: &mut PeelScratch) -> Option<HubSelection> {
-    let c = sh.cover.read();
-    densest_hub_graph_marginal_scratch(
-        sh.g,
-        sh.rates,
-        w,
-        &c.sched,
-        &c.z,
-        &c.zdeg,
-        sh.cross_cap,
-        scratch,
-    )
 }
 
 /// The admission threshold for a marginal-price selection: the summed

@@ -13,10 +13,12 @@
 //! * [`baseline`] — push-all, pull-all and hybrid FEEDINGFRENZY schedules.
 //! * [`validate`] — bounded-staleness feasibility checking.
 //! * [`densest`] — the weighted densest-subgraph oracle (Lemma 1).
-//! * [`chitchat`] — the `O(ln n)`-approximate CHITCHAT algorithm (§3.1).
+//! * [`chitchat`] — the `O(ln n)`-approximate CHITCHAT algorithm (§3.1),
+//!   plus the oracle fan-out layer both CHITCHAT executions run on.
 //! * [`chitchat_stream`] — the one-pass streaming CHITCHAT: near-batch
 //!   quality at a fraction of the oracle work, cheap enough to re-run
-//!   continuously at serve time.
+//!   continuously at serve time. Batch and streaming are the only two
+//!   CHITCHAT executions.
 //! * [`parallelnosy`] — the scalable PARALLELNOSY heuristic (§3.2), with
 //!   both threaded and MapReduce execution.
 //! * [`incremental`] — schedule maintenance under graph updates (§3.3).
@@ -44,7 +46,6 @@ pub mod parallelnosy;
 pub mod schedule;
 pub mod schedule_io;
 pub mod scheduler;
-pub mod sharded_chitchat;
 pub mod staleness;
 pub mod validate;
 
@@ -56,5 +57,4 @@ pub use incremental::IncrementalScheduler;
 pub use parallelnosy::{ParallelNosy, ParallelNosyResult};
 pub use schedule::{EdgeAssignment, Schedule};
 pub use scheduler::{Instance, ScheduleOutcome, ScheduleStats, Scheduler};
-pub use sharded_chitchat::{ShardedChitChat, ShardedChitChatResult};
 pub use validate::{coverage_report, validate_bounded_staleness};

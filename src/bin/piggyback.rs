@@ -28,7 +28,6 @@ use std::process::ExitCode;
 
 use social_piggybacking::core::cost::CostModel;
 use social_piggybacking::core::schedule_io::{load_schedule, save_schedule};
-use social_piggybacking::core::sharded_chitchat::ShardedChitChat;
 use social_piggybacking::core::validate::coverage_report;
 use social_piggybacking::graph::io::{load_edge_list, save_edge_list};
 use social_piggybacking::graph::stats as gstats;
@@ -51,29 +50,51 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   piggyback generate --model <flickr|twitter|erdos-renyi|copying> --nodes <n> \\
-                     [--seed <s>] [--edges <m>] --out <file>
+                     [--seed <s>] [--edges <m>] [--follows <k>] [--copy-prob <p>] \\
+                     --out <file>
   piggyback stats    --graph <file>
   piggyback schedule --graph <file> --algorithm <name> \\
-                     [--rw-ratio <r>] [--shards <k>] [--threads <t>] --out <file>
+                     [--rw-ratio <r>] [--threads <t>] --out <file>
   piggyback evaluate --graph <file> --schedule <file> [--rw-ratio <r>] [--servers <n>]
   piggyback partition --graph <file> [--schedule <file>] [--partitioner <name>] \\
                      [--servers <n>] [--seed <s>] [--rw-ratio <r>]
   piggyback analyze  --graph <file> --schedule <file> [--rw-ratio <r>] [--top <k>]
   piggyback compare  [--preset <flickr-like|twitter-like>] [--graph <file>] \\
-                     [--nodes <n>] [--seed <s>] [--rw-ratio <r>] [--shards <k>] \\
+                     [--nodes <n>] [--seed <s>] [--rw-ratio <r>] \\
                      [--threads <t>] [--servers <n>]
   piggyback serve    [--graph <file> | --model <m> --nodes <n>] [--algorithm <name>] \\
                      [--duration <2s|500ms>] [--clients <n>] [--servers <n>] \\
                      [--workers <n>] [--churn-ratio <f>] [--rate <ops/s>] \\
                      [--cache-ttl-ms <n>] [--reopt-threshold <f>] \\
                      [--partitioner <name>] [--rebalance-threshold <f>] \\
+                     [--replication <k>] [--domains <d>] [--heartbeat-ms <n>] \\
                      [--rw-ratio <r>] [--seed <s>] [--threads <t>] \\
                      [--rpc <batched|direct>] [--stats-interval <1s|500ms>]
 
 <name> under --algorithm is any registered scheduler (see `compare`
-output), e.g. hybrid, chitchat, parallelnosy, parallelnosy-mr,
-sharded-chitchat, exact; under --partitioner it is hash, ldg, or
-schedule-aware.";
+output), e.g. hybrid, chitchat, chitchat-stream, parallelnosy,
+parallelnosy-mr, exact; under --partitioner it is hash, ldg, or
+schedule-aware. --follows and --copy-prob apply to the copying model.";
+
+/// The flags `USAGE` lists for subcommand `cmd`, or `None` for an unknown
+/// subcommand. These are the only flags it accepts, so a misspelled one
+/// cannot silently fall back to its default.
+fn usage_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    let mut lines = USAGE
+        .lines()
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .skip_while(|l| l.split_whitespace().nth(1) != Some(cmd));
+    let head = lines.next()?;
+    let section = std::iter::once(head)
+        .chain(lines.take_while(|l| !l.trim_start().starts_with("piggyback ")));
+    Some(
+        section
+            .flat_map(|l| l.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+            .filter_map(|w| w.strip_prefix("--"))
+            .collect(),
+    )
+}
 
 /// Parses `--key value` pairs after the subcommand.
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
@@ -116,7 +137,15 @@ fn run(args: &[String]) -> Result<(), String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err("no subcommand given".into());
     };
+    let accepted = usage_flags(cmd).ok_or_else(|| format!("unknown subcommand {cmd:?}"))?;
     let flags = parse_flags(rest)?;
+    if let Some(flag) = flags
+        .keys()
+        .filter(|k| !accepted.contains(&k.as_str()))
+        .min()
+    {
+        return Err(format!("unknown flag --{flag} for `{cmd}`"));
+    }
     match cmd.as_str() {
         "generate" => cmd_generate(&flags),
         "stats" => cmd_stats(&flags),
@@ -126,7 +155,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "analyze" => cmd_analyze(&flags),
         "compare" => cmd_compare(&flags),
         "serve" => cmd_serve(&flags),
-        other => Err(format!("unknown subcommand {other:?}")),
+        other => unreachable!("subcommand {other:?} listed in USAGE has no handler"),
     }
 }
 
@@ -200,17 +229,6 @@ fn configure_scheduler(
     scheduler: Box<dyn Scheduler>,
 ) -> Result<Box<dyn Scheduler>, String> {
     let threads: usize = parsed(flags, "threads", 0)?;
-    if scheduler.name() == "sharded-chitchat" {
-        let shards: usize = parsed(flags, "shards", 4)?;
-        if shards < 1 {
-            return Err("--shards must be at least 1".into());
-        }
-        return Ok(Box::new(ShardedChitChat {
-            shards,
-            threads,
-            ..Default::default()
-        }));
-    }
     if threads > 0 {
         return scheduler::by_name_with_threads(scheduler.name(), threads)
             .ok_or_else(|| format!("unknown algorithm {:?}", scheduler.name()));
@@ -699,6 +717,52 @@ mod tests {
     }
 
     #[test]
+    fn unknown_flags_rejected() {
+        // A misspelled flag must not fall back to its default silently.
+        let err = run(&s(&[
+            "generate",
+            "--model",
+            "flickr",
+            "--nodes",
+            "200",
+            "--sed",
+            "7",
+            "--out",
+            "/dev/null",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--sed"), "{err}");
+        let err = run(&s(&[
+            "schedule",
+            "--graph",
+            "g.edges",
+            "--algorithm",
+            "chitchat",
+            "--treads",
+            "2",
+            "--out",
+            "/dev/null",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--treads"), "{err}");
+        // --shards went with sharded CHITCHAT.
+        for cmd in ["schedule", "compare"] {
+            let err = run(&s(&[cmd, "--shards", "4"])).unwrap_err();
+            assert!(err.contains("--shards"), "{cmd}: {err}");
+        }
+        // Flags the handlers read that no test above passes are listed.
+        for (cmd, flag) in [
+            ("generate", "follows"),
+            ("generate", "copy-prob"),
+            ("serve", "replication"),
+            ("serve", "domains"),
+            ("serve", "heartbeat-ms"),
+        ] {
+            assert!(usage_flags(cmd).unwrap().contains(&flag), "{cmd} --{flag}");
+        }
+    }
+
+    #[test]
     fn unknown_subcommand_rejected() {
         assert!(run(&s(&["frobnicate"])).is_err());
         assert!(run(&[]).is_err());
@@ -811,7 +875,7 @@ mod tests {
             "generate", "--model", "flickr", "--nodes", "200", "--seed", "1", "--out", &graph,
         ]))
         .unwrap();
-        for algo in ["hybrid", "chitchat", "sharded-chitchat", "parallelnosy-mr"] {
+        for algo in ["hybrid", "chitchat", "parallelnosy-mr"] {
             let sched = dir
                 .join(format!("{algo}.sched"))
                 .to_string_lossy()
@@ -853,7 +917,7 @@ mod tests {
         .unwrap();
         // schedule: any algorithm accepts --threads (identical schedules,
         // so the files must round-trip through evaluate).
-        for algo in ["chitchat", "parallelnosy", "sharded-chitchat"] {
+        for algo in ["chitchat", "parallelnosy"] {
             let sched = dir
                 .join(format!("{algo}.sched"))
                 .to_string_lossy()

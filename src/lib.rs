@@ -78,7 +78,6 @@ pub mod prelude {
         self, Exact, Hybrid, Instance, MapReduceNosy, PullAll, PushAll, ScheduleOutcome,
         ScheduleStats, Scheduler,
     };
-    pub use piggyback_core::sharded_chitchat::{Partitioning, ShardedChitChat};
     pub use piggyback_core::staleness::{check_semantic_staleness, random_actions};
     pub use piggyback_core::validate::validate_bounded_staleness;
     pub use piggyback_graph::{gen, sample, stats, CsrGraph, DynamicGraph, GraphBuilder};

@@ -45,7 +45,7 @@ fn piggybacking_schedulers_never_lose_to_hybrid() {
         "chitchat",
         "parallelnosy",
         "parallelnosy-mr",
-        "sharded-chitchat",
+        "chitchat-stream",
     ] {
         let s = scheduler::by_name(name).unwrap();
         let out = s.schedule(&inst);
