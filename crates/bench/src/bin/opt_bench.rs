@@ -36,7 +36,7 @@
 use std::process::Command;
 use std::time::Instant;
 
-use piggyback_bench::REFERENCE_RW_RATIO;
+use piggyback_bench::{machine_json, REFERENCE_RW_RATIO};
 use piggyback_core::scheduler::{by_name_with_threads, Instance};
 use piggyback_graph::gen;
 use piggyback_workload::Rates;
@@ -119,22 +119,6 @@ fn peak_rss_kb() -> u64 {
             })
         })
         .unwrap_or(0)
-}
-
-/// The machine the sweep ran on: `{"nproc": .., "cpu_model": ".."}`, the
-/// CPU model read from `/proc/cpuinfo` (`"unknown"` where unavailable).
-fn machine_json() -> String {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().replace(['"', '\\'], ""))
-        })
-        .unwrap_or_else(|| "unknown".into());
-    format!("{{\"nproc\": {nproc}, \"cpu_model\": \"{cpu_model}\"}}")
 }
 
 #[derive(Clone)]

@@ -1,11 +1,13 @@
-//! Placement benchmark: total vs cross-server message cost of every
-//! registered partitioner under one optimized schedule, as JSON.
+//! Placement benchmark: the wire message rate of every registered
+//! partitioner under one optimized schedule, as JSON.
 //!
-//! The paper's cost model counts every request-induced message; with a
-//! topology in the picture, only *cross-server* messages pay network cost
-//! (batching makes co-located views free — §4.3). This bench quantifies
-//! how much of the schedule's message rate each partitioner keeps
-//! intra-server:
+//! Batching folds every view a request touches on one server into one
+//! message (§4.3), so a partitioner is judged by the rate of messages the
+//! wire actually carries: `PlacementCost::cost`, the distinct servers
+//! each share and query reaches, weighted by rates. The headline is
+//! `msgs_reduction_vs_hash`, LDG's saving over the paper's hash baseline;
+//! `max_shard_wire` is the rate the hottest shard receives, since a total
+//! saving can still concentrate load on one server.
 //!
 //! ```text
 //! cargo run --release -p piggyback-bench --bin placement_bench -- [--smoke] \
@@ -18,10 +20,10 @@
 
 use std::time::Instant;
 
-use piggyback_bench::REFERENCE_RW_RATIO;
-use piggyback_core::cost::CostModel;
+use piggyback_bench::{machine_json, REFERENCE_RW_RATIO};
 use piggyback_core::scheduler::{by_name, Instance};
 use piggyback_graph::gen;
+use piggyback_store::placement::PlacementCost;
 use piggyback_store::topology::{edges_cut, partitioners, PartitionRequest};
 use piggyback_workload::Rates;
 
@@ -104,72 +106,67 @@ fn main() {
     let req = PartitionRequest {
         graph: &g,
         rates: &rates,
-        schedule: Some(&outcome.schedule),
         servers: args.servers,
         seed: args.seed,
         domains: None,
     };
+    let pc = PlacementCost::new(&g, &rates, &outcome.schedule);
     let mut rows = Vec::new();
-    let mut cross_by_name: Vec<(String, f64)> = Vec::new();
+    let mut wire_by_name: Vec<(String, f64)> = Vec::new();
     for p in partitioners() {
         let t0 = Instant::now();
         let topology = p.partition(&req);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let acct = CostModel::with_topology(topology.assignment(), topology.servers()).accounting(
-            &g,
-            &rates,
-            &outcome.schedule,
-        );
+        let wire = pc.cost(&topology);
+        let hottest = pc
+            .per_server_load(&topology)
+            .into_iter()
+            .fold(0.0, f64::max);
         let sizes = topology.shard_sizes();
         let cut = edges_cut(&g, &topology);
         eprintln!(
-            "#   {:<15} cross {:>14.1} ({:>5.1}% of total)  cut {:>8} edges  wall {:>8.1}ms",
+            "#   {:<6} wire {:>14.1}  hottest shard {:>12.1}  cut {:>8} edges  wall {:>8.1}ms",
             p.name(),
-            acct.cross,
-            100.0 * acct.cross_fraction(),
+            wire,
+            hottest,
             cut,
             wall_ms
         );
-        cross_by_name.push((p.name().to_string(), acct.cross));
+        wire_by_name.push((p.name().to_string(), wire));
         rows.push(format!(
             concat!(
-                "    {{\"partitioner\": \"{}\", \"total_cost\": {:.1}, ",
-                "\"intra_cost\": {:.1}, \"cross_cost\": {:.1}, ",
-                "\"cross_fraction\": {:.4}, \"edges_cut\": {}, ",
+                "    {{\"partitioner\": \"{}\", \"wire_cost\": {:.1}, ",
+                "\"max_shard_wire\": {:.1}, \"edges_cut\": {}, ",
                 "\"min_shard_users\": {}, \"max_shard_users\": {}, ",
                 "\"wall_ms\": {:.1}}}"
             ),
             p.name(),
-            acct.total,
-            acct.intra,
-            acct.cross,
-            acct.cross_fraction(),
+            wire,
+            hottest,
             cut,
             sizes.iter().min().unwrap(),
             sizes.iter().max().unwrap(),
             wall_ms
         ));
     }
-    let hash_cross = cross_by_name
-        .iter()
-        .find(|(n, _)| n == "hash")
-        .map(|&(_, c)| c)
-        .expect("hash partitioner registered");
-    let aware_cross = cross_by_name
-        .iter()
-        .find(|(n, _)| n == "schedule-aware")
-        .map(|&(_, c)| c)
-        .expect("schedule-aware partitioner registered");
-    let reduction = 1.0 - aware_cross / hash_cross;
+    let wire_of = |name: &str| {
+        wire_by_name
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, c)| c)
+            .unwrap_or_else(|| panic!("{name} partitioner registered"))
+    };
+    let reduction = 1.0 - wire_of("ldg") / wire_of("hash");
     let json = format!(
         concat!(
-            "{{\n  \"bench\": \"placement\",\n  \"smoke\": {},\n",
+            "{{\n  \"bench\": \"placement\",\n  \"machine\": {},\n  \"smoke\": {},\n",
             "  \"nodes\": {},\n  \"edges\": {},\n  \"servers\": {},\n",
             "  \"schedule_algorithm\": \"{}\",\n  \"schedule_cost\": {:.1},\n",
             "  \"seed\": {},\n",
-            "  \"cross_cost_reduction_vs_hash\": {:.4},\n",
+            "  \"msgs_reduction_vs_hash\": {:.4},\n",
             "  \"results\": [\n{}\n  ]\n}}"
         ),
+        machine_json(),
         args.smoke,
         g.node_count(),
         g.edge_count(),
@@ -185,8 +182,5 @@ fn main() {
         std::fs::write(path, format!("{json}\n")).expect("write --out file");
         eprintln!("# wrote {path}");
     }
-    eprintln!(
-        "# schedule-aware cuts cross-server cost {:.1}% vs hash",
-        reduction * 100.0
-    );
+    eprintln!("# LDG cuts wire messages {:.1}% vs hash", reduction * 100.0);
 }

@@ -377,7 +377,7 @@ fn run_chaos(args: &Args) {
     let opt = by_name("hybrid").expect("registered scheduler");
     let outcome = opt.schedule(&inst);
     let cost = outcome.stats.cost;
-    // Heartbeat every 5ms: with down_misses = 4 a dead shard is confirmed
+    // Heartbeat every 5ms: with DOWN_MISSES = 4 a dead shard is confirmed
     // in ~20ms, well inside the 50ms pull-cache TTL that doubles as the
     // Theorem-1 staleness budget a lagging replica may legally carry —
     // and that a rejoining shard must fit before readmission.

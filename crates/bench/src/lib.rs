@@ -20,6 +20,22 @@ pub const DEFAULT_NODES: usize = 4000;
 /// The reference read/write ratio of §4.1 (Silberstein et al.).
 pub const REFERENCE_RW_RATIO: f64 = 5.0;
 
+/// The machine a bench ran on: `{"nproc": .., "cpu_model": ".."}`, the
+/// CPU model read from `/proc/cpuinfo` (`"unknown"` where unavailable).
+pub fn machine_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().replace(['"', '\\'], ""))
+        })
+        .unwrap_or_else(|| "unknown".into());
+    format!("{{\"nproc\": {nproc}, \"cpu_model\": \"{cpu_model}\"}}")
+}
+
 /// A named (graph, rates) pair for an experiment.
 pub struct Dataset {
     /// Display name (`flickr` / `twitter`).

@@ -141,18 +141,9 @@ pub struct ServeConfig {
     /// domain-spread so a whole-domain kill can never destroy every copy
     /// of a view.
     pub domains: usize,
-    /// Views per anti-entropy batch while a rejoined shard catches up.
-    /// Each failover-controller tick streams at most this many views to
-    /// each catching-up shard, so catch-up floods can't starve
-    /// foreground operations.
-    pub catchup_batch: usize,
     /// Heartbeat cadence of the failure detector (ZERO = detection off;
     /// a dead shard is then only noticed at the send seam).
     pub heartbeat_interval: Duration,
-    /// Consecutive heartbeat misses before a shard turns `Suspect`.
-    pub suspect_misses: u32,
-    /// Consecutive misses before `Down` — the failover trigger.
-    pub down_misses: u32,
     /// Chaos-mode fault injection on the transport (`None` = faultless).
     pub faults: Option<FaultPlan>,
 }
@@ -176,10 +167,7 @@ impl Default for ServeConfig {
             metrics: true,
             replication: 1,
             domains: 0,
-            catchup_batch: 512,
             heartbeat_interval: Duration::ZERO,
-            suspect_misses: 2,
-            down_misses: 4,
             faults: None,
         }
     }
@@ -211,9 +199,7 @@ mod tests {
         // unchanged.
         assert_eq!(c.replication, 1);
         assert_eq!(c.domains, 0, "trivial failure domains by default");
-        assert!(c.catchup_batch >= 1, "anti-entropy must make progress");
         assert_eq!(c.heartbeat_interval, Duration::ZERO);
-        assert!(c.suspect_misses >= 1 && c.down_misses >= c.suspect_misses);
         assert!(c.faults.is_none());
     }
 

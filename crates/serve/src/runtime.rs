@@ -119,7 +119,6 @@ impl ServeRuntime {
                 .partition(&PartitionRequest {
                     graph: &graph,
                     rates: &rates,
-                    schedule: Some(&schedule),
                     servers: config.shards,
                     seed: config.placement_seed,
                     domains: domains.as_deref(),
@@ -168,8 +167,8 @@ impl ServeRuntime {
         let health = (replication > 1 || !config.heartbeat_interval.is_zero()).then(|| {
             Arc::new(HealthTracker::new(
                 config.shards,
-                config.suspect_misses.max(1),
-                config.down_misses.max(config.suspect_misses.max(1)),
+                SUSPECT_MISSES,
+                DOWN_MISSES,
                 config.pull_cache_ttl,
             ))
         });
@@ -222,7 +221,6 @@ impl ServeRuntime {
             failover_unavailable_ms: 0.0,
             desired: topology,
             catching_up: (0..config.shards).map(|_| None).collect(),
-            catchup_batch: config.catchup_batch.max(1),
             views_lost: 0,
             rejoins: 0,
             readmits: 0,
@@ -721,9 +719,6 @@ struct ChurnManager {
     /// Per-shard anti-entropy state: `Some` while the shard is streaming
     /// its backlog back after a rejoin.
     catching_up: Vec<Option<CatchUp>>,
-    /// Views streamed per catching-up shard per tick (the anti-entropy
-    /// rate limit).
-    catchup_batch: usize,
     /// Views destroyed by correlated failures: no surviving replica slot
     /// existed at failover time.
     views_lost: u64,
@@ -739,7 +734,7 @@ struct ChurnManager {
 /// Anti-entropy state of one rejoined shard.
 struct CatchUp {
     /// Views still owed, each with the replica slots to install to
-    /// (drained from the tail, `catchup_batch` per tick).
+    /// (drained from the tail, [`CATCHUP_BATCH`] per tick).
     pending: Vec<(NodeId, Vec<u32>)>,
     /// Backlog size at rejoin (for the readmit event).
     behind: usize,
@@ -752,6 +747,18 @@ struct CatchUp {
 /// per-publish override-map clone and the snapshot's memory overhead on
 /// long runs where re-optimization never fires.
 const OVERRIDE_COMPACT_LIMIT: usize = 1024;
+
+/// Consecutive heartbeat misses before a shard turns `Suspect`.
+const SUSPECT_MISSES: u32 = 2;
+
+/// Consecutive heartbeat misses before a shard is `Down` — the failover
+/// trigger.
+const DOWN_MISSES: u32 = 4;
+
+/// Views per anti-entropy batch while a rejoined shard catches up: each
+/// heartbeat tick streams at most this many views to each catching-up
+/// shard, so catch-up floods cannot starve foreground operations.
+const CATCHUP_BATCH: usize = 512;
 
 impl ChurnManager {
     fn run(mut self) {
@@ -827,11 +834,11 @@ impl ChurnManager {
     /// on later ticks, so a slow data plane never stretches the tick
     /// cadence. A live shard accrues a miss only when a full grace
     /// window passes with its probe unanswered, and the window re-arms
-    /// after each miss — `down_misses` misses therefore mean the shard
-    /// answered *nothing* for `down_misses` consecutive windows. Killed
+    /// after each miss — [`DOWN_MISSES`] misses therefore mean the shard
+    /// answered *nothing* for that many consecutive windows. Killed
     /// shards are never probed over the wire (the injector refuses the
     /// connection) and accrue a miss every tick, so a real death is
-    /// confirmed in `down_misses` ticks regardless of the grace window.
+    /// confirmed in [`DOWN_MISSES`] ticks regardless of the grace window.
     /// Runs on the churn thread — the single writer — so failover's
     /// migrate-then-swap inherits the same race-freedom as rebalancing.
     fn health_tick(&mut self) {
@@ -938,7 +945,7 @@ impl ChurnManager {
             // slate — recovery traffic must never be mistaken for more
             // failures, or one real death cascades into failing over the
             // whole fleet. Truly dead shards lose nothing: kills are
-            // detected without wire traffic, in `down_misses` ticks.
+            // detected without wire traffic, in `DOWN_MISSES` ticks.
             // Catching-up shards are excluded: amnesty must never promote
             // a rejoined shard to `Up` before its backlog has drained —
             // only the explicit readmit may do that (the tracker refuses
@@ -1176,7 +1183,7 @@ impl ChurnManager {
     }
 
     /// Streams one budgeted anti-entropy batch to every catching-up
-    /// shard (at most [`ServeConfig::catchup_batch`] views each per
+    /// shard (at most [`CATCHUP_BATCH`] views each per
     /// heartbeat tick, so catch-up floods cannot starve the foreground
     /// data plane), and readmits a shard to the read path once its
     /// backlog drains **and** its heartbeat silence fits the Theorem-1
@@ -1197,7 +1204,7 @@ impl ChurnManager {
             {
                 continue;
             }
-            let n = cu.pending.len().min(self.catchup_batch);
+            let n = cu.pending.len().min(CATCHUP_BATCH);
             let batch: Vec<(NodeId, Vec<u32>)> = cu.pending.split_off(cu.pending.len() - n);
             let remaining = cu.pending.len();
             if n > 0 {
@@ -1402,24 +1409,22 @@ impl ChurnManager {
     /// Deliberately synchronous on the churn thread (unlike the
     /// backgrounded re-optimization): the single writer is what makes
     /// migrate-then-swap race-free, at the price of stalling churn — not
-    /// serving — for the repartition + migration (seconds at 100k users;
-    /// `BENCH_placement.json` wall times). Size `rebalance_threshold` so
-    /// this stays rare.
+    /// serving — for the repartition + migration (the LDG pass alone is
+    /// `wall_ms` in `BENCH_placement.json`, under half a second at 100k
+    /// users). Size `rebalance_threshold` so this stays rare.
     fn rebalance(&mut self) {
         let started = Instant::now();
         let snap = self.handle.load();
         let old = Arc::clone(snap.topology());
-        // Re-partition the *current* graph under the schedule actually
-        // serving it (base assignments + direct overlay edges), so the new
-        // map reflects the traffic churn created — not the boot snapshot.
-        let (frozen, serving) = self.inc.freeze_with_schedule();
+        // Re-partition the *current* graph, so the new map co-locates the
+        // follows churn created — not just the boot snapshot's.
+        let frozen = self.inc.freeze_graph();
         let new = self
             .partition
             .partitioner()
             .partition(&PartitionRequest {
                 graph: &frozen,
                 rates: &self.rates,
-                schedule: Some(&serving),
                 servers: old.servers(),
                 seed: self.placement_seed,
                 domains: (!old.domains().is_empty()).then(|| old.domains()),

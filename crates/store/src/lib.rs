@@ -13,7 +13,7 @@
 //! * [`view`] — a materialized per-user view with trimming and top-k reads.
 //! * [`topology`] — the unified cluster topology: the `user → shard` map
 //!   every layer routes through, plus the [`Partitioner`] catalog (hash
-//!   baseline, streaming LDG, schedule-aware greedy).
+//!   baseline, streaming LDG).
 //! * [`server`] — a data-store shard: batched update/query with server-side
 //!   filtering (the "thin layer on top of memcached") and view migration.
 //!   Queries run a bounded k-way tournament merge over the views' ring
@@ -27,9 +27,10 @@
 //!   [`ShardBatch`](worker::ShardBatch): pooled view lists and reply
 //!   buffers ([`BufferPool`]) and one pooled reply channel per client
 //!   ([`ShardClient`]).
-//! * [`placement`] — the placement-aware predicted cost of Figures 7–8:
+//! * [`placement`] — the one multi-server cost model (Figures 7–8):
 //!   batching makes co-located views free, so cost = distinct servers
-//!   touched per request, weighted by rates.
+//!   each request's wire batches reach (every replica slot for a share,
+//!   the primary for a query), weighted by rates.
 //! * [`health`] — per-shard failure detection (`Up/Suspect/Down` from
 //!   heartbeat outcomes) with the Theorem-1 staleness budget reused as
 //!   the legal replica-lag window for read routing.
@@ -53,7 +54,7 @@ pub use placement::PlacementCost;
 pub use server::QueryScratch;
 pub use topology::{
     GroupScratch, HashPartitioner, LdgPartitioner, PartitionRequest, PartitionStrategy,
-    Partitioner, ScheduleAwarePartitioner, Topology,
+    Partitioner, Topology,
 };
 pub use tuple::EventTuple;
 pub use view::View;

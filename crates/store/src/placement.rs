@@ -1,17 +1,23 @@
-//! Placement-aware predicted cost (§4.3, Figures 7–8).
+//! Placement-aware predicted cost (§4.3, Figures 7–8) — the one
+//! multi-server cost model, priced exactly as the batched wire pays.
 //!
 //! Batching makes co-located views free: a request touching five views on
-//! two servers costs two messages. The placement-aware predicted cost of a
-//! schedule is therefore
+//! two servers costs two messages. A share writes every replica slot of
+//! every target view; a query reads one slot per view, the primary while
+//! nothing is faulted (the client's `fan_out` in [`crate::worker`]). The
+//! predicted cost of a schedule under a topology is therefore
 //!
 //! ```text
-//! c = Σ_u rp(u) · |servers({u} ∪ h[u])|  +  rc(u) · |servers({u} ∪ l[u])|
+//! c = Σ_u rp(u) · |slots({u} ∪ h[u])|  +  rc(u) · |primaries({u} ∪ l[u])|
 //! ```
 //!
-//! With one server every request costs exactly one message regardless of
-//! the schedule (both algorithms tie); as servers multiply, co-location
-//! vanishes and the cost converges to the placement-free model of §2.1 —
-//! reproducing the crossover and convergence of Figure 7.
+//! where `slots(X)` is the set of servers holding any replica of a view in
+//! `X` and `primaries(X)` the set of home servers. At replication 1 both
+//! are the distinct home servers. With one server every request costs
+//! exactly one message regardless of the schedule (both algorithms tie);
+//! as servers multiply, co-location vanishes and the cost converges to the
+//! placement-free model of §2.1 — reproducing the crossover and
+//! convergence of Figure 7.
 
 use piggyback_core::schedule::Schedule;
 use piggyback_graph::{CsrGraph, NodeId};
@@ -53,16 +59,63 @@ impl<'a> PlacementCost<'a> {
         }
     }
 
+    /// Fills `out` with the servers one share by `u` sends to: the
+    /// distinct servers over every replica slot of `{u} ∪ h[u]`.
+    fn share_servers(&self, topology: &Topology, u: NodeId, out: &mut Vec<usize>) {
+        out.clear();
+        for &v in &self.update_targets[u as usize] {
+            out.extend(topology.replica_slots(v));
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Fills `out` with the servers one query by `u` sends to: the
+    /// distinct home servers of `{u} ∪ l[u]` (reads go to the primary slot
+    /// while nothing is faulted).
+    fn query_servers(&self, topology: &Topology, u: NodeId, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(
+            self.query_targets[u as usize]
+                .iter()
+                .map(|&v| topology.server_of(v)),
+        );
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Messages one share by `u` sends under `topology`.
+    pub fn share_messages(&self, topology: &Topology, u: NodeId) -> usize {
+        let mut servers = Vec::new();
+        self.share_servers(topology, u, &mut servers);
+        servers.len()
+    }
+
+    /// Messages one query by `u` sends under `topology`.
+    pub fn query_messages(&self, topology: &Topology, u: NodeId) -> usize {
+        let mut servers = Vec::new();
+        self.query_servers(topology, u, &mut servers);
+        servers.len()
+    }
+
     /// Total message rate under `topology` (lower is better).
     pub fn cost(&self, topology: &Topology) -> f64 {
+        let mut servers = Vec::new();
         let mut total = 0.0;
-        for u in 0..self.g.node_count() {
-            let up = topology.distinct_servers(self.update_targets[u].iter().copied());
-            let qu = topology.distinct_servers(self.query_targets[u].iter().copied());
-            total +=
-                self.rates.rp(u as NodeId) * up as f64 + self.rates.rc(u as NodeId) * qu as f64;
+        for u in 0..self.g.node_count() as NodeId {
+            self.share_servers(topology, u, &mut servers);
+            let up = servers.len();
+            self.query_servers(topology, u, &mut servers);
+            total += self.rates.rp(u) * up as f64 + self.rates.rc(u) * servers.len() as f64;
         }
         total
+    }
+
+    /// Message rate arriving at each server, shares and queries alike:
+    /// `out[s]` sums `rp(u)` over the shares and `rc(u)` over the queries
+    /// that send a message to `s`. Sums to [`cost`](PlacementCost::cost).
+    pub fn per_server_load(&self, topology: &Topology) -> Vec<f64> {
+        self.tally(topology, true)
     }
 
     /// Predicted throughput (inverse cost) normalized by the single-server
@@ -82,15 +135,24 @@ impl<'a> PlacementCost<'a> {
     /// Query-message rate arriving at each server — Figure 8's load metric.
     /// `out[s]` is the rate of query messages server `s` receives.
     pub fn per_server_query_load(&self, topology: &Topology) -> Vec<f64> {
+        self.tally(topology, false)
+    }
+
+    /// Per-server message rate of every query, plus every share when
+    /// `shares` is set.
+    fn tally(&self, topology: &Topology, shares: bool) -> Vec<f64> {
         let mut load = vec![0.0; topology.servers()];
-        let mut scratch: Vec<usize> = Vec::new();
-        for u in 0..self.g.node_count() {
-            scratch.clear();
-            scratch.extend(self.query_targets[u].iter().map(|&v| topology.server_of(v)));
-            scratch.sort_unstable();
-            scratch.dedup();
-            for &s in &scratch {
-                load[s] += self.rates.rc(u as NodeId);
+        let mut servers = Vec::new();
+        for u in 0..self.g.node_count() as NodeId {
+            if shares {
+                self.share_servers(topology, u, &mut servers);
+                for &s in &servers {
+                    load[s] += self.rates.rp(u);
+                }
+            }
+            self.query_servers(topology, u, &mut servers);
+            for &s in &servers {
+                load[s] += self.rates.rc(u);
             }
         }
         load
@@ -214,5 +276,63 @@ mod tests {
         let (mean, var) = pc.load_balance(&Topology::hash(300, 32, 1));
         assert!((mean - 1.0 / 32.0).abs() < 1e-12);
         assert!(var < 1e-3, "hash placement should balance well: {var}");
+    }
+
+    #[test]
+    fn replication_amplifies_shares_but_not_queries() {
+        let (g, r) = world();
+        let pn = ParallelNosy::default().run(&g, &r).schedule;
+        let pc = PlacementCost::new(&g, &r, &pn);
+        let one = Topology::hash(300, 8, 2);
+        let two = Topology::hash(300, 8, 2).with_replication(2);
+        let spread = Topology::hash(300, 8, 2)
+            .with_domains(Topology::block_domains(8, 2))
+            .with_replication(2);
+        for u in 0..300u32 {
+            let base = pc.share_messages(&one, u);
+            for t in [&two, &spread] {
+                // Every target's second slot may land on a new server, but
+                // never on fewer than the primaries and never on more than
+                // two per target.
+                let k = pc.share_messages(t, u);
+                assert!(k >= base && k <= 2 * base, "user {u}: {k} vs {base}");
+                assert_eq!(pc.query_messages(t, u), pc.query_messages(&one, u));
+            }
+        }
+        assert!(pc.cost(&two) > pc.cost(&one));
+    }
+
+    #[test]
+    fn per_server_load_sums_to_cost() {
+        let (g, r) = world();
+        let pn = ParallelNosy::default().run(&g, &r).schedule;
+        let pc = PlacementCost::new(&g, &r, &pn);
+        for t in [
+            Topology::hash(300, 7, 1),
+            Topology::hash(300, 6, 1).with_replication(3),
+        ] {
+            let load: f64 = pc.per_server_load(&t).iter().sum();
+            assert!((load - pc.cost(&t)).abs() < 1e-6 * pc.cost(&t));
+        }
+    }
+
+    #[test]
+    fn ldg_sends_fewer_messages_than_hash() {
+        use crate::topology::{HashPartitioner, LdgPartitioner, PartitionRequest, Partitioner};
+        let (g, r) = world();
+        let pn = ParallelNosy::default().run(&g, &r).schedule;
+        let pc = PlacementCost::new(&g, &r, &pn);
+        let req = PartitionRequest {
+            graph: &g,
+            rates: &r,
+            servers: 8,
+            seed: 3,
+            domains: None,
+        };
+        let (hash, ldg) = (
+            pc.cost(&HashPartitioner.partition(&req)),
+            pc.cost(&LdgPartitioner.partition(&req)),
+        );
+        assert!(ldg < hash, "LDG {ldg} vs hash {hash}");
     }
 }

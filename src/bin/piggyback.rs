@@ -9,7 +9,7 @@
 //! piggyback schedule  --graph g.edges --algorithm parallelnosy --out s.sched
 //! piggyback evaluate  --graph g.edges --schedule s.sched --servers 500
 //! piggyback partition --graph g.edges --schedule s.sched --servers 16 \
-//!                     --partitioner schedule-aware
+//!                     --partitioner ldg
 //! piggyback compare   --preset flickr-like --nodes 2000
 //! piggyback serve     --model flickr --nodes 100000 --algorithm chitchat --duration 2s
 //! ```
@@ -26,7 +26,6 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use social_piggybacking::core::cost::CostModel;
 use social_piggybacking::core::schedule_io::{load_schedule, save_schedule};
 use social_piggybacking::core::validate::coverage_report;
 use social_piggybacking::graph::io::{load_edge_list, save_edge_list};
@@ -73,8 +72,8 @@ const USAGE: &str = "usage:
 
 <name> under --algorithm is any registered scheduler (see `compare`
 output), e.g. hybrid, chitchat, chitchat-stream, parallelnosy,
-parallelnosy-mr, exact; under --partitioner it is hash, ldg, or
-schedule-aware. --follows and --copy-prob apply to the copying model.";
+parallelnosy-mr, exact; under --partitioner it is hash or ldg.
+--follows and --copy-prob apply to the copying model.";
 
 /// The flags `USAGE` lists for subcommand `cmd`, or `None` for an unknown
 /// subcommand. These are the only flags it accepts, so a misspelled one
@@ -309,7 +308,8 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     let hybrid_cost = Hybrid.schedule(&inst).stats.cost;
     // With --servers, re-price every schedule against a hash topology and
-    // append the intra/cross split (batching makes intra-server free).
+    // append its wire message rate (one message per distinct server a
+    // request touches).
     let topology = match flags.get("servers") {
         Some(v) => {
             let servers: usize = v
@@ -324,7 +324,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     };
     match &topology {
         Some(t) => println!(
-            "# {:<18} {:>12} {:>8} {:>12} {:>10} {:>10} {:>10} {:>12} {:>12}",
+            "# {:<18} {:>12} {:>8} {:>12} {:>10} {:>10} {:>10} {:>12}",
             "algorithm",
             "cost",
             "vs_ff",
@@ -332,8 +332,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
             "iters",
             "hubs",
             "wall_ms",
-            "intra",
-            format!("cross@{}", t.servers())
+            format!("wire@{}", t.servers())
         ),
         None => println!(
             "# {:<18} {:>12} {:>8} {:>12} {:>10} {:>10} {:>10}",
@@ -349,17 +348,9 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
             println!("  {:<18} (skipped: instance unsupported)", s.name());
             continue;
         }
-        let mut out = s.schedule(&inst);
+        let out = s.schedule(&inst);
         validate_bounded_staleness(&g, &out.schedule)
             .map_err(|e| format!("{}: infeasible schedule: {e}", s.name()))?;
-        if let Some(t) = &topology {
-            CostModel::with_topology(t.assignment(), t.servers()).annotate(
-                &g,
-                &rates,
-                &out.schedule,
-                &mut out.stats,
-            );
-        }
         let st = &out.stats;
         print!(
             "  {:<18} {:>12.1} {:>7.3}x {:>12} {:>10} {:>10} {:>10.1}",
@@ -375,8 +366,8 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
             st.hubs_applied,
             st.wall_time.as_secs_f64() * 1e3
         );
-        if topology.is_some() {
-            print!(" {:>12.1} {:>12.1}", st.intra_cost, st.cross_cost);
+        if let Some(t) = &topology {
+            print!(" {:>12.1}", Pc::new(&g, &rates, &out.schedule).cost(t));
         }
         println!();
     }
@@ -592,7 +583,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Partitions a graph with any registered partitioner and prints
-/// per-shard statistics: users, edge cut, intra/cross message estimate.
+/// per-shard statistics: users, edge cut, and the wire message rate each
+/// shard receives.
 fn cmd_partition(flags: &HashMap<String, String>) -> Result<(), String> {
     let g = load_edge_list(required(flags, "graph")?).map_err(|e| e.to_string())?;
     let ratio: f64 = parsed(flags, "rw-ratio", 5.0)?;
@@ -602,8 +594,7 @@ fn cmd_partition(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let seed: u64 = parsed(flags, "seed", 42)?;
     let rates = Rates::log_degree(&g, ratio);
-    // Without --schedule the hybrid baseline prices the traffic; with one,
-    // the schedule-aware partitioner exploits its hub structure.
+    // Without --schedule the hybrid baseline prices the traffic.
     let schedule = match flags.get("schedule") {
         Some(path) => load_schedule(path, g.edge_count()).map_err(|e| e.to_string())?,
         None => hybrid_schedule(&g, &rates),
@@ -611,19 +602,17 @@ fn cmd_partition(flags: &HashMap<String, String>) -> Result<(), String> {
     let name = flags
         .get("partitioner")
         .map(String::as_str)
-        .unwrap_or("schedule-aware");
+        .unwrap_or("ldg");
     let partitioner =
         partitioner_by_name(name).ok_or_else(|| format!("unknown partitioner {name:?}"))?;
     let topology = partitioner.partition(&PartitionRequest {
         graph: &g,
         rates: &rates,
-        schedule: Some(&schedule),
         servers,
         seed,
         domains: None,
     });
-    let acct =
-        CostModel::with_topology(topology.assignment(), servers).accounting(&g, &rates, &schedule);
+    let wire = Pc::new(&g, &rates, &schedule).per_server_load(&topology);
     println!(
         "# partitioner {name}: {} users, {} servers, {} of {} edges cut",
         topology.users(),
@@ -632,15 +621,13 @@ fn cmd_partition(flags: &HashMap<String, String>) -> Result<(), String> {
         g.edge_count()
     );
     println!(
-        "# message rate: total {:.1} = intra {:.1} + cross {:.1} ({:.1}% crosses servers)",
-        acct.total,
-        acct.intra,
-        acct.cross,
-        100.0 * acct.cross_fraction()
+        "# wire message rate {:.1} (flat schedule cost {:.1})",
+        wire.iter().sum::<f64>(),
+        schedule_cost(&g, &rates, &schedule)
     );
     println!(
-        "# {:>5} {:>8} {:>12} {:>12} {:>14} {:>14}",
-        "shard", "users", "edges_in", "edges_cut", "ingress_rate", "egress_rate"
+        "# {:>5} {:>8} {:>12} {:>12} {:>14}",
+        "shard", "users", "edges_in", "edges_cut", "wire_rate"
     );
     let sizes = topology.shard_sizes();
     let mut edges_within = vec![0usize; servers];
@@ -656,8 +643,8 @@ fn cmd_partition(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     for s in 0..servers {
         println!(
-            "  {:>5} {:>8} {:>12} {:>12} {:>14.1} {:>14.1}",
-            s, sizes[s], edges_within[s], edges_crossing[s], acct.ingress[s], acct.egress[s]
+            "  {:>5} {:>8} {:>12} {:>12} {:>14.1}",
+            s, sizes[s], edges_within[s], edges_crossing[s], wire[s]
         );
     }
     Ok(())
@@ -985,7 +972,7 @@ mod tests {
             &sched,
         ]))
         .unwrap();
-        for p in ["hash", "ldg", "schedule-aware"] {
+        for p in ["hash", "ldg"] {
             run(&s(&[
                 "partition",
                 "--graph",
@@ -999,15 +986,11 @@ mod tests {
             ]))
             .unwrap_or_else(|e| panic!("{p}: {e}"));
         }
-        let err = run(&s(&[
-            "partition",
-            "--graph",
-            &graph,
-            "--partitioner",
-            "round-robin",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("unknown partitioner"), "{err}");
+        for gone in ["round-robin", "schedule-aware"] {
+            let err =
+                run(&s(&["partition", "--graph", &graph, "--partitioner", gone])).unwrap_err();
+            assert!(err.contains("unknown partitioner"), "{err}");
+        }
         assert!(run(&s(&["partition", "--graph", &graph, "--servers", "0"])).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1027,14 +1010,16 @@ mod tests {
             "--servers",
             "8",
             "--partitioner",
-            "schedule-aware",
+            "ldg",
             "--rebalance-threshold",
             "0.0001",
             "--churn-ratio",
             "0.2",
         ]))
         .unwrap();
-        assert!(run(&s(&["serve", "--partitioner", "bogus"])).is_err());
+        for gone in ["bogus", "schedule-aware"] {
+            assert!(run(&s(&["serve", "--partitioner", gone])).is_err());
+        }
     }
 
     #[test]

@@ -214,37 +214,49 @@ fn timed_trace_respects_bounded_staleness_semantically() {
 
 #[test]
 fn placement_model_matches_simulated_messages() {
-    // The analytic placement-aware cost must agree with the message counts
-    // the simulator observes (law of large numbers over a long trace).
+    // The wire cost model, checked exactly: for every share and query of a
+    // replayed trace, PlacementCost predicts the message count the runtime
+    // returns, and the per-op predictions sum to the runtime's
+    // `serve.store_messages` counter. Replication 2 over two failure
+    // domains exercises the replica-aware share path.
     let (g, r) = world(400, 21);
     let pn = ParallelNosy::default().run(&g, &r).schedule;
-    let servers = 32;
     let pc = PlacementCost::new(&g, &r, &pn);
-    let placement = Topology::hash(g.node_count(), servers, 0);
-    let analytic_msgs_per_request = {
-        let total_rate: f64 = (0..g.node_count())
-            .map(|u| r.rp(u as u32) + r.rc(u as u32))
-            .sum();
-        pc.cost(&placement) / total_rate
-    };
-    let (rt, mut client) = serve(
-        &g,
-        &r,
-        pn,
-        ServeConfig {
-            shards: servers,
-            placement_seed: 0,
-            ..Default::default()
-        },
-    );
-    let count = 60_000;
-    let simulated = client.replay(requests(&r, 17, count)) as f64 / count as f64;
-    finish(rt, client);
-    let rel_err = (simulated - analytic_msgs_per_request).abs() / analytic_msgs_per_request;
-    assert!(
-        rel_err < 0.03,
-        "analytic {analytic_msgs_per_request:.3} vs simulated {simulated:.3}"
-    );
+    for (replication, domains) in [(1, 0), (2, 2)] {
+        let (rt, mut client) = serve(
+            &g,
+            &r,
+            pn.clone(),
+            ServeConfig {
+                shards: 32,
+                replication,
+                domains,
+                ..Default::default()
+            },
+        );
+        let topology = rt.snapshot().topology().clone();
+        assert_eq!(topology.replication(), replication);
+        let mut predicted_total = 0u64;
+        for op in requests(&r, 17, 5000) {
+            let predicted = match op {
+                Op::Share(u) => pc.share_messages(&topology, u),
+                Op::Query(u) => pc.query_messages(&topology, u),
+                Op::Follow(..) | Op::Unfollow(..) => unreachable!("churn-free trace"),
+            } as u64;
+            assert_eq!(
+                client.apply_op(op),
+                predicted,
+                "replication {replication}: {op:?}"
+            );
+            predicted_total += predicted;
+        }
+        assert_eq!(
+            rt.stats_snapshot().counter("serve.store_messages"),
+            predicted_total,
+            "replication {replication}"
+        );
+        finish(rt, client);
+    }
 }
 
 #[test]
